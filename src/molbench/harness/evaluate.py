@@ -86,43 +86,55 @@ def _task_rows(labels: np.ndarray, indices: np.ndarray, task: int) -> np.ndarray
     return rows
 
 
-def _fit_score(spec: ClassifierSpec, params: dict, X_train, y_train, X_eval, y_eval) -> float:
-    if len(np.unique(y_eval)) < 2 or len(np.unique(y_train)) < 1:
-        return float("nan")
-    head = make_head(spec, params).fit(X_train, y_train)
-    scores = head.predict_proba(X_eval)[:, 1]
-    return auroc(scores, y_eval)
+def _grid_scores(spec: ClassifierSpec, X_fit, y_fit, X_eval) -> list[np.ndarray]:
+    """Positive-class scores on X_eval for every grid point, in grid order.
+
+    The forest is grown once at the smallest ``min_samples_split`` and cut
+    back for the larger ones, and kNN ranks the neighbors once for the
+    largest k; both equal a separate fit per grid point. Logreg fits once
+    per grid point.
+    """
+    if spec.head == "random_forest":
+        splits = [params["min_samples_split"] for params in spec.grid]
+        forest = make_head(spec, {"min_samples_split": min(splits)}).fit(X_fit, y_fit)
+        return [forest.predict_proba(X_eval, m)[:, 1] for m in splits]
+    if spec.head == "knn":
+        ks = [params["n_neighbors"] for params in spec.grid]
+        if min(ks) < 1:  # the fit below checks only the largest k
+            raise ValueError(f"n_neighbors must be >= 1, got {min(ks)}")
+        knn = make_head(spec, {"n_neighbors": max(ks)}).fit(X_fit, y_fit)
+        neighbors = knn.neighbor_labels(X_eval)
+        return [neighbors[:, :k].mean(axis=1) for k in ks]
+    return [
+        make_head(spec, params).fit(X_fit, y_fit).predict_proba(X_eval)[:, 1]
+        for params in spec.grid
+    ]
 
 
-def _cv_score(spec: ClassifierSpec, params: dict, features, labels, train_idx) -> float:
-    """Mean AUROC over folds and tasks for one grid point."""
-    per_task = []
+def _cv_scores(spec: ClassifierSpec, features, labels, train_idx) -> list[float]:
+    """Mean AUROC over folds and tasks for every grid point, in grid order."""
+    per_task: list[list[float]] = [[] for _ in spec.grid]
     for task in range(labels.shape[1]):
         rows = _task_rows(labels, train_idx, task)
         if len(rows) < N_FOLDS:
             continue
         y = labels[rows, task]
-        fold_scores = []
+        fold_scores: list[list[float]] = [[] for _ in spec.grid]
         for fold in stratified_folds(y, N_FOLDS):
-            val_rows = rows[fold]
             fit_mask = np.ones(len(rows), dtype=bool)
             fit_mask[fold] = False
-            fit_rows = rows[fit_mask]
-            if len(fit_rows) == 0 or len(np.unique(labels[fit_rows, task])) < 2:
+            y_fit, y_val = y[fit_mask], y[fold]
+            if len(np.unique(y_fit)) < 2 or len(np.unique(y_val)) < 2:
                 continue
-            value = _fit_score(
-                spec,
-                params,
-                features[fit_rows],
-                labels[fit_rows, task],
-                features[val_rows],
-                labels[val_rows, task],
+            grid_scores = _grid_scores(
+                spec, features[rows[fit_mask]], y_fit, features[rows[fold]]
             )
-            if not np.isnan(value):
-                fold_scores.append(value)
-        if fold_scores:
-            per_task.append(float(np.mean(fold_scores)))
-    return float(np.mean(per_task)) if per_task else float("nan")
+            for scores, predicted in zip(fold_scores, grid_scores):
+                scores.append(auroc(predicted, y_val))
+        for task_means, scores in zip(per_task, fold_scores):
+            if scores:
+                task_means.append(float(np.mean(scores)))
+    return [float(np.mean(means)) if means else float("nan") for means in per_task]
 
 
 def tune_and_evaluate(
@@ -172,30 +184,22 @@ def tune_and_evaluate(
 
     records = []
     for spec in specs:
-        best_params = None
-        best_cv = -np.inf
-        for params in spec.grid:
-            value = _cv_score(spec, params, features, labels, train_idx)
-            if not np.isnan(value) and value > best_cv:
-                best_cv = value
-                best_params = params
-        if best_params is None:
-            best_params = spec.grid[0]
+        best_params, best_cv = spec.grid[0], -np.inf
+        for params, value in zip(spec.grid, _cv_scores(spec, features, labels, train_idx)):
+            if value > best_cv:  # NaN never wins; ties keep the earlier point
+                best_params, best_cv = params, value
 
+        # evaluable tasks have both classes on both sides, so AUROC is defined
         task_scores = []
         for task in evaluable:
             fit_rows = _task_rows(labels, train_idx, task)
             eval_rows = _task_rows(labels, test_idx, task)
-            value = _fit_score(
-                spec,
-                best_params,
-                features[fit_rows],
-                labels[fit_rows, task],
-                features[eval_rows],
-                labels[eval_rows, task],
+            head = make_head(spec, best_params).fit(
+                features[fit_rows], labels[fit_rows, task]
             )
-            if not np.isnan(value):
-                task_scores.append(value)
+            task_scores.append(
+                auroc(head.predict_proba(features[eval_rows])[:, 1], labels[eval_rows, task])
+            )
         records.append(
             ScoreRecord(
                 model_name, dataset.name, spec.head, float(np.mean(task_scores))

@@ -2,8 +2,14 @@
 
 All three expose the fit / predict_proba estimator protocol and are fully
 deterministic: kNN breaks distance ties by training index, the logistic head
-uses a monotone quasi-Newton optimizer, and the forest draws every random
-decision from per-tree seed streams so results do not depend on scheduling.
+uses a monotone quasi-Newton optimizer, and the forest draws its bootstrap
+from a per-tree seed stream and each node's candidate features from a stream
+keyed by (tree seed, node position), so results do not depend on scheduling
+or on where a tree stops growing.
+
+Two heads serve a whole hyperparameter grid from one fit: ``neighbor_labels``
+ranks the training rows once for the largest k, and a forest grown at a small
+``min_samples_split`` predicts for any larger one by stopping at smaller nodes.
 """
 
 from __future__ import annotations
@@ -33,12 +39,17 @@ class KNeighborsHead(ParamsMixin):
         self._y = y
         return self
 
-    def predict_proba(self, X) -> np.ndarray:
+    def neighbor_labels(self, X) -> np.ndarray:
+        """Labels of the ``n_neighbors`` nearest training rows, nearest first.
+
+        The first k columns are the neighborhood of every smaller k, so one
+        call serves a whole grid of neighbor counts.
+        """
         check_fitted(self, "_X")
         X = check_array(X)
         k = min(self.n_neighbors, self._X.shape[0])
         train_sq = np.einsum("ij,ij->i", self._X, self._X)
-        scores = np.empty(X.shape[0], dtype=np.float64)
+        labels = np.empty((X.shape[0], k), dtype=np.float64)
         chunk = max(1, 2_000_000 // max(1, self._X.shape[0]))
         for start in range(0, X.shape[0], chunk):
             block = X[start : start + chunk]
@@ -49,7 +60,11 @@ class KNeighborsHead(ParamsMixin):
             )
             # stable argsort: equal distances resolve to the lower train index
             nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
-            scores[start : start + len(block)] = self._y[nearest].mean(axis=1)
+            labels[start : start + len(block)] = self._y[nearest]
+        return labels
+
+    def predict_proba(self, X) -> np.ndarray:
+        scores = self.neighbor_labels(X).mean(axis=1)
         return np.column_stack((1.0 - scores, scores))
 
 
@@ -181,7 +196,9 @@ class LogisticRegressionHead(ParamsMixin):
 
 
 class _Tree:
-    __slots__ = ("feature", "threshold", "left", "right", "value")
+    """One tree's nodes; every node keeps its row count and positive fraction."""
+
+    __slots__ = ("feature", "threshold", "left", "right", "value", "n_rows")
 
     def __init__(self):
         self.feature: list[int] = []
@@ -189,6 +206,7 @@ class _Tree:
         self.left: list[int] = []
         self.right: list[int] = []
         self.value: list[float] = []
+        self.n_rows: list[int] = []
 
     def add_node(self) -> int:
         self.feature.append(-1)
@@ -196,6 +214,7 @@ class _Tree:
         self.left.append(-1)
         self.right.append(-1)
         self.value.append(0.0)
+        self.n_rows.append(0)
         return len(self.feature) - 1
 
     def finalize(self):
@@ -204,30 +223,50 @@ class _Tree:
         self.left = np.asarray(self.left, dtype=np.int64)
         self.right = np.asarray(self.right, dtype=np.int64)
         self.value = np.asarray(self.value, dtype=np.float64)
+        self.n_rows = np.asarray(self.n_rows, dtype=np.int64)
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        while True:
-            feature = self.feature[node]
-            active = feature >= 0
-            if not active.any():
-                return self.value[node]
-            rows = np.flatnonzero(active)
-            go_left = (
-                X[rows, feature[rows]] <= self.threshold[node[rows]]
-            )
-            node[rows] = np.where(
-                go_left, self.left[node[rows]], self.right[node[rows]]
-            )
+
+class _Forest:
+    """The nodes of every tree in flat arrays, so one traversal serves all trees."""
+
+    __slots__ = ("feature", "threshold", "left", "right", "value", "n_rows", "roots")
+
+    def __init__(self, trees: list[_Tree]):
+        sizes = [len(tree.feature) for tree in trees]
+        self.roots = np.cumsum([0, *sizes[:-1]])
+        offsets = np.repeat(self.roots, sizes)
+        self.feature = np.concatenate([tree.feature for tree in trees])
+        self.threshold = np.concatenate([tree.threshold for tree in trees])
+        self.value = np.concatenate([tree.value for tree in trees])
+        self.n_rows = np.concatenate([tree.n_rows for tree in trees])
+        # leaves' -1 children shift too, but traversal never follows a leaf
+        self.left = np.concatenate([tree.left for tree in trees]) + offsets
+        self.right = np.concatenate([tree.right for tree in trees]) + offsets
+
+    def predict(self, X: np.ndarray, min_samples_split: int) -> np.ndarray:
+        """Per-tree values, shape (trees, rows of X).
+
+        Nodes with fewer training rows than ``min_samples_split`` act as
+        leaves.
+        """
+        descend = (self.feature >= 0) & (self.n_rows >= min_samples_split)
+        node = np.repeat(self.roots, X.shape[0])
+        sample = np.tile(np.arange(X.shape[0]), len(self.roots))
+        active = np.flatnonzero(descend[node])
+        while active.size:
+            at = node[active]
+            go_left = X[sample[active], self.feature[at]] <= self.threshold[at]
+            node[active] = np.where(go_left, self.left[at], self.right[at])
+            active = active[descend[node[active]]]
+        return self.value[node].reshape(len(self.roots), X.shape[0])
 
 
 def _entropy_curve(pos: np.ndarray, total: np.ndarray) -> np.ndarray:
-    """Binary entropy of pos/total, elementwise, with 0 log 0 = 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = pos / total
-        q = 1.0 - p
-        term_p = np.where(p > 0, p * np.log2(np.where(p > 0, p, 1.0)), 0.0)
-        term_q = np.where(q > 0, q * np.log2(np.where(q > 0, q, 1.0)), 0.0)
+    """Binary entropy of pos/total (total > 0), elementwise, with 0 log 0 = 0."""
+    p = pos / total
+    q = 1.0 - p
+    term_p = p * np.log2(np.where(p > 0, p, 1.0))
+    term_q = q * np.log2(np.where(q > 0, q, 1.0))
     return -(term_p + term_q)
 
 
@@ -283,11 +322,11 @@ def _best_split_binned(X_sub: np.ndarray, y: np.ndarray, n_bins: int):
     valid = (left_n > 0) & (right_n > 0)
     if not valid.any():
         return None
-    with np.errstate(divide="ignore", invalid="ignore"):
-        child = (
-            left_n * _entropy_curve(left_pos, left_n)
-            + right_n * _entropy_curve(right_pos, right_n)
-        ) / m
+    # empty sides get a dummy count of 1; their entries are masked below
+    child = (
+        left_n * _entropy_curve(left_pos, np.maximum(left_n, 1.0))
+        + right_n * _entropy_curve(right_pos, np.maximum(right_n, 1.0))
+    ) / m
     child = np.where(valid, child, np.inf)
     flat_best = int(np.argmin(child))  # row-major: candidate order, then bin
     col, b = divmod(flat_best, n_bins - 1)
@@ -297,53 +336,62 @@ def _best_split_binned(X_sub: np.ndarray, y: np.ndarray, n_bins: int):
 def _grow_tree(
     X: np.ndarray,
     y: np.ndarray,
-    rng: np.random.Generator,
+    tree_seed: np.random.SeedSequence,
     min_samples_split: int,
     n_features_node: int,
     X_int: np.ndarray | None = None,
     n_bins: int = 0,
 ) -> _Tree:
+    """Grow one tree on a bootstrap of the rows of X.
+
+    The bootstrap comes from ``tree_seed``; each node's candidate features
+    come from a stream keyed by the tree seed and the node's heap index (root
+    1, children 2p and 2p+1). A node therefore splits the same way whatever
+    ``min_samples_split`` is, as long as it has at least that many rows, so
+    the tree grown at m is the tree grown at 2 cut back at smaller nodes.
+    """
     n = X.shape[0]
-    bootstrap = rng.integers(0, n, size=n)
-    Xb, yb = X[bootstrap], y[bootstrap]
-    Xb_int = X_int[bootstrap] if X_int is not None else None
+    bootstrap = np.random.default_rng(tree_seed).integers(0, n, size=n)
+    split_X = X if X_int is None else X_int
 
     tree = _Tree()
-    root = tree.add_node()
-    stack = [(root, np.arange(n))]
+    stack = [(tree.add_node(), 1, bootstrap)]
     while stack:
-        node, rows = stack.pop()
-        y_node = yb[rows]
+        node, heap_index, rows = stack.pop()
+        y_node = y[rows]
         pos_fraction = float(y_node.mean())
+        tree.n_rows[node] = len(rows)
+        tree.value[node] = pos_fraction
         if (
             len(rows) < min_samples_split
             or pos_fraction == 0.0
             or pos_fraction == 1.0
         ):
-            tree.value[node] = pos_fraction
             continue
-        candidates = rng.choice(X.shape[1], size=n_features_node, replace=False)
-        if Xb_int is not None:
-            found = _best_split_binned(
-                Xb_int[np.ix_(rows, candidates)], y_node, n_bins
+        node_rng = np.random.default_rng(
+            np.random.SeedSequence(
+                tree_seed.entropy, spawn_key=(*tree_seed.spawn_key, heap_index)
             )
+        )
+        candidates = node_rng.choice(X.shape[1], size=n_features_node, replace=False)
+        block = split_X[np.ix_(rows, candidates)]
+        if X_int is not None:
+            found = _best_split_binned(block, y_node, n_bins)
         else:
-            found = _best_split(Xb[np.ix_(rows, candidates)], y_node)
+            found = _best_split(block, y_node)
         if found is None:
-            tree.value[node] = pos_fraction
             continue
         col, threshold, _ = found
         feature = int(candidates[col])
-        go_left = Xb[rows, feature] <= threshold
+        go_left = X[rows, feature] <= threshold
         left = tree.add_node()
         right = tree.add_node()
         tree.feature[node] = feature
         tree.threshold[node] = threshold
         tree.left[node] = left
         tree.right[node] = right
-        # push right first so the left child is grown (and draws rng) first
-        stack.append((right, rows[~go_left]))
-        stack.append((left, rows[go_left]))
+        stack.append((right, 2 * heap_index + 1, rows[~go_left]))
+        stack.append((left, 2 * heap_index, rows[go_left]))
     tree.finalize()
     return tree
 
@@ -351,22 +399,30 @@ def _grow_tree(
 class RandomForestHead(ParamsMixin):
     """Bootstrap forest of entropy-split trees over sqrt(d) feature draws.
 
-    Every tree consumes its own seed stream (bootstrap first, then node
-    feature subsets in depth-first, left-first order), so fits are
-    bit-identical for a given seed no matter how trees are scheduled.
+    Every tree draws its bootstrap from its own seed stream, and every node
+    its candidate features from a stream keyed by (tree seed, node position),
+    so fits are bit-identical for a given seed no matter how trees are
+    scheduled. Because a node's split does not depend on ``min_samples_split``,
+    a forest fitted at m predicts, through ``predict_proba(X, m2)``, exactly
+    what a forest fitted at any m2 >= m predicts: traversal stops at nodes
+    with fewer than m2 rows. One fit at the smallest grid value thus serves a
+    whole ``min_samples_split`` grid.
     """
 
     def __init__(self, min_samples_split: int = 2, n_estimators: int = 500, seed: int = 0):
         self.min_samples_split = min_samples_split
         self.n_estimators = n_estimators
         self.seed = seed
-        self._trees = None
+        self._forest = None
+        self._grown_min_samples_split = None
 
     def fit(self, X, y):
         if self.min_samples_split < 2:
             raise ValueError(
                 f"min_samples_split must be >= 2, got {self.min_samples_split}"
             )
+        if self.n_estimators < 1:
+            raise ValueError(f"n_estimators must be >= 1, got {self.n_estimators}")
         X, y = check_X_y(X, y)
         if X.shape[0] == 0:
             raise ValueError("empty training set")
@@ -378,25 +434,42 @@ class RandomForestHead(ParamsMixin):
             n_bins = int(X.max()) + 2
             X_int = X.astype(np.int64)
         seeds = np.random.SeedSequence(self.seed).spawn(self.n_estimators)
-        self._trees = [
-            _grow_tree(
-                X,
-                y,
-                np.random.default_rng(tree_seed),
-                self.min_samples_split,
-                n_features_node,
-                X_int=X_int,
-                n_bins=n_bins,
-            )
-            for tree_seed in seeds
-        ]
+        self._forest = _Forest(
+            [
+                _grow_tree(
+                    X,
+                    y,
+                    tree_seed,
+                    self.min_samples_split,
+                    n_features_node,
+                    X_int=X_int,
+                    n_bins=n_bins,
+                )
+                for tree_seed in seeds
+            ]
+        )
+        self._grown_min_samples_split = self.min_samples_split
         return self
 
-    def predict_proba(self, X) -> np.ndarray:
-        check_fitted(self, "_trees")
+    def predict_proba(self, X, min_samples_split: int | None = None) -> np.ndarray:
+        """Class probabilities, optionally for a larger ``min_samples_split``.
+
+        ``min_samples_split`` defaults to the fitted value and may not be
+        smaller than it: nodes that were never split cannot be grown here.
+        """
+        check_fitted(self, "_forest")
+        if min_samples_split is None:
+            min_samples_split = self._grown_min_samples_split
+        elif min_samples_split < self._grown_min_samples_split:
+            raise ValueError(
+                f"cannot predict at min_samples_split={min_samples_split}: the "
+                f"forest was grown at {self._grown_min_samples_split}"
+            )
         X = check_array(X)
-        scores = np.zeros(X.shape[0], dtype=np.float64)
-        for tree in self._trees:
-            scores += tree.predict(X)
-        scores /= len(self._trees)
+        n_trees = len(self._forest.roots)
+        scores = np.empty(X.shape[0], dtype=np.float64)
+        chunk = max(1, 500_000 // n_trees)  # bounds the (trees, rows) arrays
+        for start in range(0, X.shape[0], chunk):
+            values = self._forest.predict(X[start : start + chunk], min_samples_split)
+            scores[start : start + chunk] = values.sum(axis=0) / n_trees
         return np.column_stack((1.0 - scores, scores))

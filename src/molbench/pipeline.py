@@ -13,6 +13,7 @@ import csv
 import hashlib
 import json
 import logging
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -53,7 +54,7 @@ from .reports import (
 logger = logging.getLogger(__name__)
 
 CONFIG_VERSION = 1
-_GRID_REVISION = 1  # bump to invalidate caches when grids/heads change
+_GRID_REVISION = 2  # bump to invalidate caches when grids/heads change
 
 
 @dataclass(frozen=True)
@@ -240,6 +241,22 @@ def _cell_cache_key(config: BenchmarkConfig, entry: DatasetEntry, rep: Represent
     return digest.hexdigest()[:16]
 
 
+def _read_cached_cell(path: Path) -> Optional[dict]:
+    """A cached cell payload, or None (with a warning) if it is unreadable."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError covers JSON and UTF-8 decoding
+        logger.warning("cache entry %s unreadable (%s); recomputing the cell", path.name, exc)
+        return None
+
+
+def _write_cached_cell(path: Path, payload: dict) -> None:
+    """Write a cell payload atomically, so a killed run leaves no partial entry."""
+    partial = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    partial.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+    os.replace(partial, path)
+
+
 def _evaluate_cell(config: BenchmarkConfig, dataset_name: str, rep_name: str) -> dict:
     """Compute one (representation, dataset) cell; skips are marked, not fatal."""
     entry = next(d for d in config.datasets if d.name == dataset_name)
@@ -308,8 +325,9 @@ def run_evaluation(
         except OSError as exc:
             raise DataError(f"[{rep.name} x {entry.name}] {exc}") from exc
         cache_path = cache_dir / f"{rep.name}__{entry.name}__{cache_key}.json"
-        if resume and cache_path.exists():
-            results[(entry.name, rep.name)] = json.loads(cache_path.read_text())
+        cached = _read_cached_cell(cache_path) if resume and cache_path.exists() else None
+        if cached is not None:
+            results[(entry.name, rep.name)] = cached
         else:
             pending.append((entry, rep, cache_path))
 
@@ -324,13 +342,13 @@ def run_evaluation(
                 pending, outcomes
             ):
                 results[(dname, rname)] = payload
-                cache_path.write_text(json.dumps(payload, sort_keys=True))
+                _write_cached_cell(cache_path, payload)
         else:
             for entry, rep, cache_path in pending:
                 logger.info("evaluating %s x %s", rep.name, entry.name)
                 payload = _evaluate_cell(config, entry.name, rep.name)
                 results[(entry.name, rep.name)] = payload
-                cache_path.write_text(json.dumps(payload, sort_keys=True))
+                _write_cached_cell(cache_path, payload)
 
     table = ScoreTable()
     for entry in config.datasets:

@@ -333,6 +333,28 @@ class TestForestHead:
         assert a == pytest.approx(1.0)
         assert b == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("noise", [0.0, 0.1], ids=["binned", "sorted"])
+    def test_grown_forest_predicts_every_grid_point(self, noise):
+        # integer features take the bincount splitter, noisy ones the sorting one
+        rng = np.random.default_rng(3)
+        X = rng.integers(0, 4, size=(80, 30)) + rng.normal(scale=noise, size=(80, 30))
+        y = (X[:, 0] + X[:, 1] + rng.normal(size=80) > 3).astype(float)
+        test = rng.integers(0, 4, size=(40, 30)) + rng.normal(scale=noise, size=(40, 30))
+        grown = RandomForestHead(min_samples_split=2, n_estimators=40, seed=5).fit(X, y)
+        for m in FOREST_GRID:
+            direct = RandomForestHead(min_samples_split=m, n_estimators=40, seed=5).fit(X, y)
+            assert np.array_equal(grown.predict_proba(test, m), direct.predict_proba(test))
+        assert not np.array_equal(
+            grown.predict_proba(test, FOREST_GRID[0]), grown.predict_proba(test, FOREST_GRID[-1])
+        )
+
+    def test_predict_below_grown_split_rejected(self):
+        X = np.tile(np.array([[0.0], [1.0]]), (10, 1))
+        y = X[:, 0].copy()
+        head = RandomForestHead(min_samples_split=4, n_estimators=5, seed=0).fit(X, y)
+        with pytest.raises(ValueError, match="min_samples_split=3"):
+            head.predict_proba(X, 3)
+
 
 class TestGrids:
     def test_supplementary_grids(self):
@@ -413,6 +435,32 @@ class TestTuneAndEvaluate:
 
     def test_separable_best_is_perfect(self, separable_records):
         assert max(r.auroc for r in separable_records) == pytest.approx(1.0)
+
+    def test_knn_and_logreg_scores_unchanged(self):
+        # pinned: sharing one fit per fold across the grid must not move these
+        from molbench.data import toy_dataset_path
+        from molbench.fingerprints import EcfpFingerprint
+
+        ds = load_dataset(toy_dataset_path(), "smiles", ["activity"])
+        features = EcfpFingerprint(length=256).transform(ds.molecules).astype(float)
+        split = scaffold_split(ds, 0.8, 0)
+        specs = [s for s in default_specs(0) if s.head != "random_forest"]
+        records = tune_and_evaluate(ds, features, split, "ecfp", specs=specs)
+        assert {r.head: r.auroc for r in records} == {
+            "knn": 0.5647321428571429,
+            "logreg": 0.9776785714285714,
+            BEST_HEAD: 0.9776785714285714,
+        }
+
+    def test_invalid_grid_point_rejected(self):
+        from molbench.fingerprints import EcfpFingerprint
+
+        ds = _separable_setup(10)
+        features = EcfpFingerprint(length=128).transform(ds.molecules).astype(float)
+        split = scaffold_split(ds, 0.6, 0)
+        specs = (ClassifierSpec("knn", ({"n_neighbors": 3}, {"n_neighbors": 0}), 0),)
+        with pytest.raises(ValueError, match="n_neighbors"):
+            tune_and_evaluate(ds, features, split, "m", specs=specs)
 
     def test_single_class_test_task_excluded(self):
         ds = _separable_setup(10)

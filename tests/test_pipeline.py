@@ -1,6 +1,7 @@
 """Config validation, cell caching, and pipeline determinism."""
 
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -134,6 +135,24 @@ class TestEvaluationPipeline:
         assert third == table
         assert cache_files[0].exists()
         assert cache_files[1].stat().st_mtime_ns == mtimes[cache_files[1]]
+
+    def test_truncated_cache_entry_recomputed(self, workspace, caplog):
+        tmp_path, _, document = workspace
+        document = dict(document, representations=document["representations"][:1])
+        config = parse_config(document)
+        out = tmp_path / "out"
+        run_evaluation(config, out)
+        expected = (out / "scores.csv").read_bytes()
+        (entry,) = (out / "cache").glob("*.json")
+        intact = entry.read_bytes()
+        entry.write_bytes(intact[: len(intact) // 2])
+
+        with caplog.at_level(logging.WARNING, logger="molbench.pipeline"):
+            run_evaluation(config, out, resume=True)
+        assert "unreadable" in caplog.text
+        assert entry.read_bytes() == intact
+        assert (out / "scores.csv").read_bytes() == expected
+        assert sorted(p.name for p in (out / "cache").iterdir()) == [entry.name]
 
     def test_rerun_byte_identical(self, workspace):
         tmp_path, _, document = workspace
