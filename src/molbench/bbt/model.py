@@ -1,12 +1,28 @@
-"""Hierarchical pairwise-ability model and its adaptive MCMC sampler.
+"""Hierarchical pairwise-ability model and its Hamiltonian Monte Carlo sampler.
 
 Win counts follow a binomial likelihood whose success probability is the
 logistic of an ability difference; abilities get a shared-scale Gaussian
 prior (scale itself LogNormal(0, 0.5^2)) under a sum-to-zero constraint.
-Sampling is adaptive Metropolis over the M-1 free abilities and log sigma:
-component-wise random-walk updates with per-coordinate scales tuned during
-warmup toward a 0.44 acceptance rate, plus one joint rescaling move per
-sweep that travels along the ability/scale funnel axis.
+
+The sampler works on non-centred parameters q = (z_1, ..., z_{M-1}, t) with
+sigma = e^t, beta = sigma * z and z_M = -(z_1 + ... + z_{M-1}), which turns
+the ability/scale funnel into a near-Gaussian (Betancourt & Girolami 2015).
+All chains advance in lockstep as one (chains, M) batch, and every iteration
+makes two moves:
+
+* an HMC transition of two leapfrog steps with a dense mass matrix and a step
+  size jittered by U(0.8, 1.2); a trajectory whose energy is not finite is
+  rejected;
+* a Metropolis move t -> t + u, z -> z e^-u that leaves beta fixed, an
+  interweaving step (Yu & Meng 2011) that keeps sigma mixing when the data
+  pin the abilities down. It reuses the cached likelihood, so it costs a few
+  array operations.
+
+Warmup tunes each chain's step size by dual averaging toward 0.8 acceptance
+(Hoffman & Gelman 2014), estimates the mass matrix from the pooled chains in
+two windows spanning 15%-90% of warmup (regularised as Stan does), and tunes
+the scale of the sigma move toward 0.44 acceptance. At the end of warmup the
+step size and the move scale are pooled, so every chain runs the same kernel.
 """
 
 from __future__ import annotations
@@ -23,9 +39,15 @@ from .wintable import WinTable
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _SIGMA_PRIOR_SCALE = 0.5  # LogNormal(0, 0.5^2) on the shared ability scale
-_TARGET_ACCEPT = 0.44  # per-coordinate updates tolerate a higher rate
 _RHAT_LIMIT = 1.01
 _ESS_FLOOR = 400.0
+
+_LEAPFROG_STEPS = 2
+_TARGET_ACCEPT = 0.8  # HMC acceptance the step size is tuned toward
+_STEP_JITTER = 0.2  # each transition uses step * U(1 - jitter, 1 + jitter)
+_INITIAL_STEP = 0.1  # where dual averaging starts, before any mass-matrix window
+_METRIC_WINDOWS = (0.15, 0.40, 0.90)  # mass-matrix window edges, fractions of warmup
+_SIGMA_MOVE_ACCEPT = 0.44  # optimum for a one-dimensional random walk
 
 
 @dataclass(frozen=True)
@@ -59,7 +81,14 @@ class BBTConfig:
 
 @dataclass
 class AbilityPosterior:
-    """Pooled post-warmup draws plus per-parameter convergence diagnostics."""
+    """Pooled post-warmup draws plus per-parameter convergence diagnostics.
+
+    Draws are chain-major: ``beta_draws.reshape(chains, draws_per_chain, M)``
+    recovers the chains. ``step_size`` is the leapfrog step every chain used
+    after warmup (before jitter) and ``accept_rate`` each chain's mean
+    post-warmup HMC acceptance probability; both stay empty for posteriors
+    that do not come from the sampler.
+    """
 
     models: tuple[str, ...]
     beta_draws: np.ndarray  # (S, M); each row sums to zero exactly
@@ -67,6 +96,8 @@ class AbilityPosterior:
     r_hat: dict[str, float]
     ess: dict[str, float]
     config: BBTConfig = field(default_factory=BBTConfig)
+    step_size: Optional[float] = None
+    accept_rate: tuple[float, ...] = ()
 
     @property
     def n_draws(self) -> int:
@@ -76,24 +107,46 @@ class AbilityPosterior:
         return self.models.index(model)
 
 
+class _Likelihood:
+    """Binomial log-likelihood of a win table for a (chains, M) batch of abilities."""
+
+    def __init__(self, wins: np.ndarray):
+        self.wins = wins
+        comparisons = wins + wins.T
+        # sigmoid(D) = (1 + tanh(D / 2)) / 2 splits the gradient into a
+        # constant and a tanh term; tanh cannot overflow
+        self.half_comparisons = 0.5 * comparisons
+        self.grad_offset = wins.sum(axis=1) - self.half_comparisons.sum(axis=1)
+
+    def __call__(self, beta: np.ndarray, with_value: bool = True):
+        """(log-likelihood or None, d log-likelihood / d beta), one row per chain.
+
+        With D_ij = beta_i - beta_j the gradient is
+        rowsum(W)_i - sum_j (W_ij + W_ji) * sigmoid(D_ij).
+        """
+        delta = beta[:, :, None] - beta[:, None, :]
+        grad = self.grad_offset - np.einsum(
+            "cij,ij->ci", np.tanh(0.5 * delta), self.half_comparisons
+        )
+        if not with_value:
+            return None, grad
+        log_p_win = np.minimum(delta, 0.0) - np.log1p(np.exp(-np.abs(delta)))
+        return np.einsum("cij,ij->c", log_p_win, self.wins), grad
+
+
 def log_posterior(beta: np.ndarray, sigma: float, table: WinTable) -> float:
     """Joint log density at a full ability vector and scale.
 
-    ``beta`` is the complete M-vector (the sampler itself works on the M-1
-    free coordinates with the last ability fixed by the zero-sum constraint).
+    ``beta`` is the complete M-vector (the sampler itself works on
+    non-centred coordinates with the last ability fixed by the zero-sum
+    constraint).
     """
     beta = np.asarray(beta, dtype=np.float64)
     if beta.shape != (table.n_models,):
         raise ValueError(f"beta must have shape ({table.n_models},)")
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    i_idx, j_idx = np.triu_indices(table.n_models, k=1)
-    delta = beta[i_idx] - beta[j_idx]
-    w_upper = table.wins[i_idx, j_idx]
-    w_lower = table.wins[j_idx, i_idx]
-    log_pi = -np.logaddexp(0.0, -delta)
-    log_one_minus = -np.logaddexp(0.0, delta)
-    loglik = float(np.sum(w_upper * log_pi + w_lower * log_one_minus))
+    loglik, _ = _Likelihood(table.wins)(beta[None, :])
 
     m = table.n_models
     log_prior_beta = float(
@@ -106,49 +159,81 @@ def log_posterior(beta: np.ndarray, sigma: float, table: WinTable) -> float:
         - 0.5 * _LOG_2PI
         - t  # density of sigma itself, not of log sigma
     )
-    return loglik + log_prior_beta + log_prior_sigma
+    return float(loglik[0]) + log_prior_beta + log_prior_sigma
 
 
-class _FreeDensity:
-    """Vectorized log density over (M-1 free abilities, log sigma) rows."""
+class _NonCentred:
+    """Log density and gradient in q = (z_1, ..., z_{M-1}, t) for (chains, M) rows.
+
+    log p(q) = loglik(beta) - |z|^2 / 2 - t - t^2 / (2 * 0.5^2), which is
+    ``log_posterior`` plus the log Jacobians of sigma -> t (t) and of
+    z -> beta ((M - 1) t), up to a constant.
+    """
 
     def __init__(self, table: WinTable):
-        self.m = table.n_models
-        self.i_idx, self.j_idx = np.triu_indices(self.m, k=1)
-        self.w_upper = table.wins[self.i_idx, self.j_idx]
-        self.w_lower = table.wins[self.j_idx, self.i_idx]
+        m = table.n_models
+        self.likelihood = _Likelihood(table.wins)
+        # z = q @ to_z: the free coordinates, then minus their sum; t drops out
+        self.to_z = np.zeros((m, m))
+        self.to_z[: m - 1, : m - 1] = np.eye(m - 1)
+        self.to_z[: m - 1, m - 1] = -1.0
 
-    def full_beta(self, free: np.ndarray) -> np.ndarray:
-        last = -np.sum(free, axis=-1, keepdims=True)
-        return np.concatenate((free, last), axis=-1)
+    def abilities(self, q: np.ndarray):
+        z = q @ self.to_z
+        t = q[:, -1]
+        return z, t, np.exp(t)[:, None] * z
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        free, t = x[:, : self.m - 1], x[:, self.m - 1]
-        beta = self.full_beta(free)
-        sigma = np.exp(t)
-        delta = beta[:, self.i_idx] - beta[:, self.j_idx]
-        loglik = np.sum(
-            self.w_upper * -np.logaddexp(0.0, -delta)
-            + self.w_lower * -np.logaddexp(0.0, delta),
-            axis=1,
+    def log_density(self, loglik, z, t):
+        return (
+            loglik - 0.5 * np.einsum("ij,ij->i", z, z) - t - 0.5 * (t / _SIGMA_PRIOR_SCALE) ** 2
         )
-        log_prior_beta = (
-            -0.5 * np.sum((beta / sigma[:, None]) ** 2, axis=1)
-            - self.m * t
-            - 0.5 * self.m * _LOG_2PI
-        )
-        # LogNormal(0, s^2) on sigma plus the log-sigma Jacobian is a plain
-        # Normal(0, s^2) on t
-        log_prior_t = (
-            -0.5 * (t / _SIGMA_PRIOR_SCALE) ** 2
-            - math.log(_SIGMA_PRIOR_SCALE)
-            - 0.5 * _LOG_2PI
-        )
-        return loglik + log_prior_beta + log_prior_t
+
+    def gradient(self, z, t, beta, grad_beta):
+        grad = (np.exp(t)[:, None] * grad_beta - z) @ self.to_z.T
+        grad[:, -1] = np.einsum("ij,ij->i", grad_beta, beta) - 1.0 - t / _SIGMA_PRIOR_SCALE**2
+        return grad
+
+    def __call__(self, q: np.ndarray):
+        """(log density, gradient) at each row of q."""
+        z, t, beta = self.abilities(q)
+        loglik, grad_beta = self.likelihood(beta)
+        return self.log_density(loglik, z, t), self.gradient(z, t, beta, grad_beta)
+
+
+class _DualAveraging:
+    """Per-chain step-size adaptation toward a target acceptance (Hoffman & Gelman 2014)."""
+
+    gamma, t0, kappa = 0.05, 10.0, 0.75
+
+    def __init__(self, log_step: np.ndarray):
+        self.restart(log_step)
+
+    def restart(self, log_step: np.ndarray) -> None:
+        self.mu = math.log(10.0) + log_step
+        self.log_step = log_step.copy()
+        self.log_step_bar = log_step.copy()
+        self.h_bar = np.zeros_like(log_step)
+        self.count = 0
+
+    def update(self, accept_prob: np.ndarray) -> None:
+        self.count += 1
+        eta = 1.0 / (self.count + self.t0)
+        self.h_bar = (1.0 - eta) * self.h_bar + eta * (_TARGET_ACCEPT - accept_prob)
+        self.log_step = self.mu - math.sqrt(self.count) / self.gamma * self.h_bar
+        weight = self.count**-self.kappa
+        self.log_step_bar = weight * self.log_step + (1.0 - weight) * self.log_step_bar
+
+
+def _window_covariance(window: np.ndarray) -> np.ndarray:
+    """Pooled covariance of (iterations, chains, dim) draws, shrunk as Stan does."""
+    rows = window.reshape(-1, window.shape[-1])
+    n = rows.shape[0]
+    cov = np.atleast_2d(np.cov(rows, rowvar=False))
+    return (n / (n + 5.0)) * cov + 1e-3 * (5.0 / (n + 5.0)) * np.eye(cov.shape[0])
 
 
 def sample_posterior(table: WinTable, config: Optional[BBTConfig] = None) -> AbilityPosterior:
-    """Adaptive random-walk Metropolis over independent chains.
+    """Chain-vectorised non-centred HMC plus a sigma-given-beta move.
 
     Fails loudly (ConvergenceError) if any parameter's split R-hat exceeds
     1.01 or its effective sample size falls below 400.
@@ -159,88 +244,114 @@ def sample_posterior(table: WinTable, config: Optional[BBTConfig] = None) -> Abi
     if float(table.totals.sum()) == 0.0:
         raise DataError("degenerate win table: no comparisons recorded")
 
-    density = _FreeDensity(table)
+    target = _NonCentred(table)
     m = table.n_models
-    dim = m  # (m - 1) abilities + log sigma
     chains = config.chains
+    warmup = config.warmup
+    total = warmup + config.draws_per_chain
     rngs = [
         np.random.default_rng(s)
         for s in np.random.SeedSequence(config.seed).spawn(chains)
     ]
 
-    x = np.stack([rng.normal(0.0, 0.3, size=dim) for rng in rngs])
-    lp = density(x)
-    # one adapted proposal scale per coordinate (component-wise updates),
-    # plus one scale for a joint rescaling move along the ability/sigma
-    # funnel axis: (beta, sigma) -> (c*beta, c*sigma)
-    log_scale = np.full((chains, dim + 1), math.log(0.5))
+    q = np.stack([rng.normal(0.0, 0.3, size=m) for rng in rngs])
+    z, t, beta = target.abilities(q)
+    loglik, grad_beta = target.likelihood(beta)
 
-    draws = np.empty((chains, config.draws_per_chain, dim))
+    chol = np.eye(m)  # inverse mass matrix = chol @ chol.T
+    adapt = _DualAveraging(np.full(chains, math.log(_INITIAL_STEP)))
+    log_move_scale = np.zeros(chains)
+    edges = [int(round(f * warmup)) for f in _METRIC_WINDOWS]
+    windows = [(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]
+    window = np.empty((max([hi - lo for lo, hi in windows], default=0), chains, m))
+    step = np.exp(adapt.log_step)
+    accept_sum = np.zeros(chains)
+    draws = np.empty((chains, config.draws_per_chain, m))  # post-warmup q, chain-major
 
-    # per-chain adaptation for the first half of warmup, then a pooled
-    # kernel shared by every chain so mixing speed is chain-independent
-    pool_at = config.warmup // 2
     block = 256
-    total = config.warmup + config.draws_per_chain
-    it = 0
-    while it < total:
-        span = min(block, total - it)
-        normals = np.stack([rng.standard_normal((span, dim + 1)) for rng in rngs])
-        log_u = np.log(np.stack([rng.random((span, dim + 1)) for rng in rngs]))
+    for start in range(0, total, block):
+        span = min(block, total - start)
+        # per iteration and chain: momentum, sigma-move proposal, step jitter
+        # and the two acceptance uniforms
+        normals = np.stack([rng.standard_normal((span, m + 1)) for rng in rngs], axis=1)
+        uniforms = np.stack([rng.random((span, 3)) for rng in rngs], axis=1)
+        jitter = 1.0 + _STEP_JITTER * (2.0 * uniforms[:, :, 0] - 1.0)
+        log_u = np.log(uniforms[:, :, 1:])
         for b in range(span):
-            k = it + b
-            warming = k < config.warmup
-            gamma = (1.0 + 0.1 * k) ** -0.6 if warming else 0.0
-            for coord in range(dim):
-                proposal = x.copy()
-                proposal[:, coord] += (
-                    np.exp(log_scale[:, coord]) * normals[:, b, coord]
-                )
-                lp_prop = density(proposal)
-                log_alpha = lp_prop - lp
-                accept = log_u[:, b, coord] < log_alpha
-                x[accept] = proposal[accept]
-                lp = np.where(accept, lp_prop, lp)
-                if warming:
-                    accept_prob = np.exp(np.minimum(0.0, log_alpha))
-                    if k < pool_at:
-                        log_scale[:, coord] += gamma * (accept_prob - _TARGET_ACCEPT)
-                    else:
-                        log_scale[:, coord] += gamma * float(
-                            np.mean(accept_prob) - _TARGET_ACCEPT
-                        )
+            k = start + b
+            warming = k < warmup
+            eps = (step * jitter[b])[:, None]
+            half = 0.5 * eps
 
-            # joint rescale: multiply free abilities by e^u, shift log sigma
-            # by u; Metropolis-Hastings with scaling Jacobian e^{u (dim-1)}
-            u = np.exp(log_scale[:, dim]) * normals[:, b, dim]
-            proposal = x.copy()
-            proposal[:, : dim - 1] *= np.exp(u)[:, None]
-            proposal[:, dim - 1] += u
-            lp_prop = density(proposal)
-            log_alpha = lp_prop - lp + (dim - 1) * u
-            accept = log_u[:, b, dim] < log_alpha
-            x[accept] = proposal[accept]
-            lp = np.where(accept, lp_prop, lp)
-            if warming:
-                accept_prob = np.exp(np.minimum(0.0, log_alpha))
-                if k < pool_at:
-                    log_scale[:, dim] += gamma * (accept_prob - _TARGET_ACCEPT)
-                else:
-                    log_scale[:, dim] += gamma * float(
-                        np.mean(accept_prob) - _TARGET_ACCEPT
+            # HMC: x = chol^-1 q has identity mass, so p ~ N(0, I)
+            p = normals[b, :, :m]
+            energy0 = target.log_density(loglik, z, t) - 0.5 * np.einsum("ij,ij->i", p, p)
+            grad_x = target.gradient(z, t, beta, grad_beta) @ chol
+            q_new = q
+            with np.errstate(over="ignore", invalid="ignore"):
+                for leap in range(_LEAPFROG_STEPS):
+                    p = p + half * grad_x
+                    q_new = q_new + eps * (p @ chol.T)
+                    z_new, t_new, beta_new = target.abilities(q_new)
+                    loglik_new, grad_beta_new = target.likelihood(
+                        beta_new, with_value=leap == _LEAPFROG_STEPS - 1
                     )
+                    grad_x = target.gradient(z_new, t_new, beta_new, grad_beta_new) @ chol
+                    p = p + half * grad_x
+                log_ratio = (
+                    target.log_density(loglik_new, z_new, t_new)
+                    - 0.5 * np.einsum("ij,ij->i", p, p)
+                    - energy0
+                )
+            # a non-finite energy is a rejection: fmax turns nan into -inf
+            log_ratio = np.fmax(log_ratio, -np.inf)
+            accept_prob = np.exp(np.minimum(log_ratio, 0.0))
+            accept = log_u[b, :, 0] < log_ratio
+            q = np.where(accept[:, None], q_new, q)
+            loglik = np.where(accept, loglik_new, loglik)
+            grad_beta = np.where(accept[:, None], grad_beta_new, grad_beta)
 
-            if warming and k + 1 == pool_at:
-                log_scale[:] = log_scale.mean(axis=0)
-            if not warming:
-                draws[:, k - config.warmup, :] = x
-        it += span
+            # sigma | beta: t -> t + u, z -> z e^-u; the likelihood is
+            # unchanged, so only the prior terms and the Jacobian enter
+            z, t, _ = target.abilities(q)
+            u = np.exp(log_move_scale) * normals[b, :, m]
+            log_alpha = (
+                0.5 * np.einsum("ij,ij->i", z, z) * -np.expm1(-2.0 * u)
+                - m * u
+                - ((t + u) ** 2 - t**2) / (2.0 * _SIGMA_PRIOR_SCALE**2)
+            )
+            u = np.where(log_u[b, :, 1] < log_alpha, u, 0.0)
+            q[:, :-1] *= np.exp(-u)[:, None]
+            q[:, -1] += u
+            z, t, beta = target.abilities(q)
 
-    free = draws[:, :, : m - 1]
-    t_draws = draws[:, :, m - 1]
-    last = -np.sum(free, axis=2, keepdims=True)
-    beta = np.concatenate((free, last), axis=2)  # (chains, draws, m)
-    sigma = np.exp(t_draws)
+            if warming:
+                adapt.update(accept_prob)
+                gain = (1.0 + 0.1 * k) ** -0.6
+                log_move_scale += gain * (
+                    np.exp(np.minimum(log_alpha, 0.0)) - _SIGMA_MOVE_ACCEPT
+                )
+                for lo, hi in windows:
+                    if lo <= k < hi:
+                        window[k - lo] = q
+                        if k + 1 == hi:
+                            chol = np.linalg.cholesky(_window_covariance(window[: hi - lo]))
+                            adapt.restart(adapt.log_step_bar)
+                if k + 1 == warmup:
+                    # pool the tuned kernels so every chain samples alike
+                    step = np.full(chains, math.exp(float(adapt.log_step_bar.mean())))
+                    log_move_scale[:] = log_move_scale.mean()
+                else:
+                    step = np.exp(adapt.log_step)
+            else:
+                draws[:, k - warmup] = q
+                accept_sum += accept_prob
+
+    # q -> beta in place: scale the free coordinates, then the zero-sum ability
+    sigma = np.exp(draws[:, :, m - 1])
+    beta = draws
+    beta[:, :, : m - 1] *= sigma[:, :, None]
+    beta[:, :, m - 1] = -np.sum(beta[:, :, : m - 1], axis=2)
 
     r_hat: dict[str, float] = {}
     ess: dict[str, float] = {}
@@ -277,4 +388,6 @@ def sample_posterior(table: WinTable, config: Optional[BBTConfig] = None) -> Abi
         r_hat=r_hat,
         ess=ess,
         config=config,
+        step_size=float(step[0]),
+        accept_rate=tuple(float(a) for a in accept_sum / config.draws_per_chain),
     )

@@ -14,7 +14,7 @@ import hashlib
 import json
 import logging
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
@@ -297,8 +297,7 @@ def _evaluate_cell(config: BenchmarkConfig, dataset_name: str, rep_name: str) ->
 
 def _cell_worker(args):
     config_document, dataset_name, rep_name = args
-    config = parse_config(config_document)
-    return dataset_name, rep_name, _evaluate_cell(config, dataset_name, rep_name)
+    return _evaluate_cell(parse_config(config_document), dataset_name, rep_name)
 
 
 def run_evaluation(
@@ -333,16 +332,30 @@ def run_evaluation(
 
     if pending:
         if jobs > 1 and config_document is not None and len(pending) > 1:
-            tasks = [
-                (config_document, entry.name, rep.name) for entry, rep, _ in pending
-            ]
+            # cache each cell as it lands, so a failing cell or an interrupt
+            # keeps every cell that finished; after the first failure the
+            # cells not yet started are cancelled, the running ones are
+            # still cached, and then the failure is raised
+            failure: Optional[Exception] = None
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                outcomes = list(pool.map(_cell_worker, tasks))
-            for (entry, rep, cache_path), (dname, rname, payload) in zip(
-                pending, outcomes
-            ):
-                results[(dname, rname)] = payload
-                _write_cached_cell(cache_path, payload)
+                futures = {}
+                for entry, rep, cache_path in pending:
+                    task = (config_document, entry.name, rep.name)
+                    futures[pool.submit(_cell_worker, task)] = (entry, rep, cache_path)
+                for future in as_completed(futures):
+                    entry, rep, cache_path = futures[future]
+                    try:
+                        payload = future.result()
+                    except Exception as exc:  # also a cell cancelled after a failure
+                        if failure is None:
+                            failure = exc
+                            for other in futures:
+                                other.cancel()
+                        continue
+                    results[(entry.name, rep.name)] = payload
+                    _write_cached_cell(cache_path, payload)
+            if failure is not None:
+                raise failure
         else:
             for entry, rep, cache_path in pending:
                 logger.info("evaluating %s x %s", rep.name, entry.name)
@@ -401,6 +414,8 @@ def write_comparison_outputs(
         "diagnostics": {
             "r_hat": posterior.r_hat,
             "ess": posterior.ess,
+            "step_size": posterior.step_size,
+            "accept_rate": list(posterior.accept_rate),
         },
         "ppc_flagged_pairs": [
             [pair[0], pair[1]]

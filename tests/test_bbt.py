@@ -1,6 +1,7 @@
 """Win tables, posterior density, HDI, summaries, decisions, PPC."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from molbench.bbt import (
     rank_models,
     sample_posterior,
     simulate_win_table,
+    split_rhat,
 )
+from molbench.bbt.model import _NonCentred
 from molbench.errors import ConvergenceError, DataError
 from molbench.harness import ScoreRecord, ScoreTable
 
@@ -119,6 +122,52 @@ class TestLogPosterior:
         table = WinTable(("a", "b"), np.array([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(ValueError):
             log_posterior(np.zeros(2), 0.0, table)
+
+
+def _ladder_table():
+    """25 evenly spread models, 25 comparisons per pair."""
+    models = tuple(f"m{i:02d}" for i in range(25))
+    return simulate_win_table(models, np.linspace(-2.0, 2.0, 25), 25, np.random.default_rng(6))
+
+
+def _random_table(m, rng):
+    wins = rng.integers(0, 25, size=(m, m)) * 0.5
+    np.fill_diagonal(wins, 0.0)
+    return WinTable(tuple(f"m{i}" for i in range(m)), wins)
+
+
+class TestNonCentredDensity:
+    """The sampler's log density in q = (z_1..z_{M-1}, log sigma) and its gradient."""
+
+    @pytest.mark.parametrize("m", [2, 5, 25])
+    def test_gradient_matches_central_differences(self, m):
+        rng = np.random.default_rng(m)
+        target = _NonCentred(_random_table(m, rng))
+        q = rng.normal(0.0, 0.7, size=(4, m))
+        _, grad = target(q)
+        h = 1e-6
+        fd = np.empty_like(q)
+        for k in range(m):
+            step = np.zeros(m)
+            step[k] = h
+            fd[:, k] = (target(q + step)[0] - target(q - step)[0]) / (2 * h)
+        for row in range(len(q)):
+            assert np.linalg.norm(grad[row] - fd[row]) <= 1e-6 * np.linalg.norm(fd[row])
+
+    @pytest.mark.parametrize("m", [2, 5, 25])
+    def test_is_log_posterior_plus_jacobians(self, m):
+        rng = np.random.default_rng(100 + m)
+        table = _random_table(m, rng)
+        q = rng.normal(0.0, 0.7, size=(6, m))
+        log_density, _ = _NonCentred(table)(q)
+        offsets = []
+        for row, value in zip(q, log_density):
+            t = row[-1]
+            beta = math.exp(t) * np.append(row[:-1], -row[:-1].sum())
+            # Jacobians: sigma -> t contributes t, z -> beta (M - 1) t
+            reference = log_posterior(beta, math.exp(t), table) + t + (m - 1) * t
+            offsets.append(value - reference)
+        assert np.ptp(offsets) < 1e-9
 
 
 class TestHdi:
@@ -322,6 +371,41 @@ class TestSamplePosterior:
             sample_posterior(
                 table, BBTConfig(chains=2, draws_per_chain=120, warmup=100, seed=0)
             )
+
+    @pytest.mark.parametrize("case", ["one-sided pair", "25 models"])
+    def test_no_warnings_and_finite_draws(self, case):
+        if case == "one-sided pair":
+            table = WinTable(("a", "b"), np.array([[0.0, 100.0], [0.0, 0.0]]))
+            config = BBTConfig(chains=4, draws_per_chain=1000, warmup=1000, seed=5)
+        else:
+            table = _ladder_table()
+            config = BBTConfig(chains=4, draws_per_chain=2000, warmup=1000, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            posterior = sample_posterior(table, config)
+        assert np.isfinite(posterior.beta_draws).all()
+        assert np.isfinite(posterior.sigma_draws).all()
+
+    def test_failed_gates_raise_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError):
+                sample_posterior(
+                    _ladder_table(), BBTConfig(chains=4, draws_per_chain=200, warmup=100, seed=0)
+                )
+
+    def test_telemetry_and_chain_major_draws(self):
+        table = WinTable(("a", "b", "c"), np.array([[0, 4, 2], [1, 0, 3], [3, 2, 0]], dtype=float))
+        posterior = sample_posterior(
+            table, BBTConfig(chains=3, draws_per_chain=1500, warmup=1500, seed=7)
+        )
+        assert posterior.step_size > 0
+        assert len(posterior.accept_rate) == 3
+        assert all(0.5 < rate <= 1.0 for rate in posterior.accept_rate)
+        # the diagnostics reproduce from the returned draws split into chains
+        chains = posterior.beta_draws.reshape(3, 1500, 3)
+        for p, model in enumerate(posterior.models):
+            assert split_rhat(chains[:, :, p]) == pytest.approx(posterior.r_hat[model], rel=1e-9)
 
     def test_dominant_model_wins_ranking(self):
         rng = np.random.default_rng(9)

@@ -212,6 +212,23 @@ class TestEvaluationPipeline:
         )
         assert serial == parallel
 
+    def test_parallel_failure_keeps_finished_cells(self, workspace, tmp_path):
+        root, _, document = workspace
+        embeddings = root / "tiny.emb"
+        intact = embeddings.read_bytes()
+        write_embeddings(embeddings, np.zeros((3, 8)))  # too few rows: DataError
+        config = parse_config(document)
+        out = tmp_path / "failing"
+        with pytest.raises(DataError, match=r"ext-model x tiny"):
+            run_evaluation(config, out, config_document=document, jobs=2)
+        (kept,) = (out / "cache").glob("ECFP-count__*.json")
+        mtime = kept.stat().st_mtime_ns
+
+        embeddings.write_bytes(intact)
+        table = run_evaluation(config, out, config_document=document, jobs=2, resume=True)
+        assert kept.stat().st_mtime_ns == mtime
+        assert table == run_evaluation(config, tmp_path / "serial")
+
     def test_comparison_outputs_deterministic(self, workspace, tmp_path):
         from molbench.pipeline import write_comparison_outputs
 
@@ -224,3 +241,9 @@ class TestEvaluationPipeline:
             assert (tmp_path / "cmp_a" / name).read_bytes() == (
                 tmp_path / "cmp_b" / name
             ).read_bytes()
+        diagnostics = json.loads((tmp_path / "cmp_a" / "ranking.json").read_text())[
+            "diagnostics"
+        ]
+        assert diagnostics["step_size"] > 0
+        assert len(diagnostics["accept_rate"]) == config.bbt.chains
+        assert all(0 < rate <= 1 for rate in diagnostics["accept_rate"])
