@@ -54,18 +54,10 @@ def build_win_table(
     """
     if epsilon_tie < 0:
         raise ValueError(f"epsilon_tie must be >= 0, got {epsilon_tie}")
-    models = scores.models()
+    models, _, values = scores.matrix(head)
     if len(models) < 2:
         raise DataError(f"need at least 2 models, got {len(models)}")
-    datasets = scores.datasets()
     m = len(models)
-    values = np.full((m, len(datasets)), np.nan)
-    for i, model in enumerate(models):
-        for d, dataset in enumerate(datasets):
-            value = scores.get(model, dataset, head)
-            if value is not None:
-                values[i, d] = value
-
     wins = np.zeros((m, m), dtype=np.float64)
     for i in range(m):
         for j in range(i + 1, m):

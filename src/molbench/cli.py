@@ -95,7 +95,7 @@ def _cmd_split(args) -> int:
             dropped.append(i)
     if not molecules:
         raise DataError(f"{args.input}: no parseable SMILES")
-    split = scaffold_split(molecules, args.frac_train, args.seed)
+    split = scaffold_split(molecules, args.frac_train)
     payload = {
         "frac_train": args.frac_train,
         "train": [kept_rows[i] for i in split.train_idx],
@@ -112,28 +112,19 @@ def _cmd_split(args) -> int:
 
 def _load_config_with_overrides(args):
     config = load_config(args.config)
-    document = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         config = dataclasses.replace(
             config,
-            split_seed=args.seed,
             classifier_seed=args.seed,
             bbt=dataclasses.replace(config.bbt, seed=args.seed),
         )
-        document.setdefault("split", {})["seed"] = args.seed
-        document["classifier_seed"] = args.seed
-        document.setdefault("bbt", {})["seed"] = args.seed
-    return config, document
+    return config
 
 
 def _cmd_evaluate(args) -> int:
-    config, document = _load_config_with_overrides(args)
+    config = _load_config_with_overrides(args)
     table = run_evaluation(
-        config,
-        args.output_dir,
-        config_document=document,
-        jobs=args.jobs,
-        resume=args.resume,
+        config, args.output_dir, jobs=args.jobs, resume=args.resume
     )
     print(
         f"scored {len(table.models())} representations on "
@@ -145,8 +136,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_compare(args) -> int:
     scores = ScoreTable.from_csv(args.scores)
     if args.config:
-        config, _ = _load_config_with_overrides(args)
-        bbt_cfg = config.bbt
+        bbt_cfg = _load_config_with_overrides(args).bbt
     else:
         bbt_cfg = BBTConfig(seed=args.seed if args.seed is not None else 0)
     write_comparison_outputs(scores, bbt_cfg, args.output_dir)
@@ -157,7 +147,7 @@ def _cmd_compare(args) -> int:
 def _cmd_report(args) -> int:
     scores = ScoreTable.from_csv(args.scores)
     if args.config:
-        config, _ = _load_config_with_overrides(args)
+        config = load_config(args.config)
         baseline = config.baseline
         near_win = config.near_win_epsilon
     else:
@@ -193,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--smiles-column", default=None)
     p.add_argument("--frac-train", type=float, default=0.8)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True, help="JSON index lists")
     p.set_defaults(func=_cmd_split)
 
@@ -218,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baseline", default=None)
     p.add_argument("--near-win-epsilon", type=float, default=0.01)
     p.add_argument("--output-dir", required=True)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_report)
     return parser
 
@@ -232,7 +220,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, SmilesParseError) as exc:
+    except (DataError, SmilesParseError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ConvergenceError as exc:

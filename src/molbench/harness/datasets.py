@@ -160,10 +160,6 @@ class EmbeddingTable:
         if not np.all(np.isfinite(self.vectors)):
             raise DataError("embeddings contain non-finite entries")
 
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
 
 def load_embeddings(
     path: Union[str, Path],

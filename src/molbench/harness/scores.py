@@ -8,6 +8,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
+import numpy as np
+
 from ..errors import DataError
 
 HEAD_ORDER = ("knn", "logreg", "random_forest")
@@ -41,10 +43,6 @@ class ScoreTable:
             raise DataError(f"duplicate score record for {key}")
         self._records[key] = record
 
-    def extend(self, records: Iterable[ScoreRecord]) -> None:
-        for record in records:
-            self.add(record)
-
     def get(self, model: str, dataset: str, head: str = BEST_HEAD) -> Optional[float]:
         record = self._records.get((model, dataset, head))
         return record.auroc if record else None
@@ -60,6 +58,18 @@ class ScoreTable:
 
     def datasets(self) -> list[str]:
         return sorted({r.dataset for r in self._records.values()})
+
+    def matrix(self, head: str = BEST_HEAD) -> tuple[list[str], list[str], np.ndarray]:
+        """Sorted models, sorted datasets and the (model, dataset) AUROC matrix
+        of one head; a cell with no record for that head is NaN."""
+        models, datasets = self.models(), self.datasets()
+        row = {model: i for i, model in enumerate(models)}
+        column = {dataset: d for d, dataset in enumerate(datasets)}
+        values = np.full((len(models), len(datasets)), np.nan)
+        for (model, dataset, record_head), record in self._records.items():
+            if record_head == head:
+                values[row[model], column[dataset]] = record.auroc
+        return models, datasets, values
 
     def __len__(self) -> int:
         return len(self._records)

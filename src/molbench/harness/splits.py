@@ -28,10 +28,9 @@ class Split:
 
 
 def scaffold_split(
-    data: Dataset | Sequence[Molecule], frac_train: float = 0.8, seed: int = 0
+    data: Dataset | Sequence[Molecule], frac_train: float = 0.8
 ) -> Split:
-    """Greedy scaffold-grouped split; deterministic, seed kept for interface
-    stability (the grouping rule itself uses no randomness)."""
+    """Greedy scaffold-grouped split; deterministic, so it takes no seed."""
     if not 0.0 < frac_train < 1.0:
         raise ValueError(f"frac_train must be in (0, 1), got {frac_train}")
     molecules = data.molecules if isinstance(data, Dataset) else list(data)

@@ -78,28 +78,47 @@ class BenchmarkConfig:
     datasets: tuple[DatasetEntry, ...]
     representations: tuple[RepresentationEntry, ...]
     frac_train: float = 0.8
-    split_seed: int = 0
     classifier_seed: int = 0
     bbt: BBTConfig = field(default_factory=BBTConfig)
     baseline: str = "ECFP-count"
     near_win_epsilon: float = 0.01
     keep_largest_fragment: bool = False
 
-    def representation(self, name: str) -> RepresentationEntry:
-        for entry in self.representations:
-            if entry.name == name:
-                return entry
-        raise ConfigError(f"unknown representation {name!r}")
+
+_MISSING = object()
 
 
-def _require(mapping: dict, key: str, context: str):
+def _get(mapping: dict, key: str, context: str, convert, default=_MISSING):
+    """``convert(mapping[key])``, or ``default`` when the key is absent.
+
+    A ``mapping`` that is not an object, a missing required key or a value
+    ``convert`` rejects is a ConfigError.
+    """
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{context} must be a JSON object, got {mapping!r}")
     if key not in mapping:
-        raise ConfigError(f"{context}: missing required key {key!r}")
-    return mapping[key]
+        if default is _MISSING:
+            raise ConfigError(f"{context}: missing required key {key!r}")
+        return default
+    try:
+        return convert(mapping[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{context}.{key}: bad value {mapping[key]!r} ({exc})") from None
+
+
+def _build(cls, context: str, **values):
+    """``cls(**values)``, its own validation failures raised as ConfigError."""
+    try:
+        return cls(**values)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{context}: {exc}") from None
 
 
 def parse_config(document: dict) -> BenchmarkConfig:
-    """Validate a configuration dictionary (ConfigError on any defect)."""
+    """Validate a configuration dictionary (ConfigError on any defect).
+
+    ``split.seed`` is accepted and ignored: the scaffold split is deterministic.
+    """
     if not isinstance(document, dict):
         raise ConfigError("config must be a JSON object")
     version = document.get("version")
@@ -107,15 +126,15 @@ def parse_config(document: dict) -> BenchmarkConfig:
         raise ConfigError(f"unsupported config version {version!r}")
 
     dataset_entries = []
-    for idx, raw in enumerate(_require(document, "datasets", "config")):
+    for idx, raw in enumerate(_get(document, "datasets", "config", list)):
         context = f"datasets[{idx}]"
         dataset_entries.append(
             DatasetEntry(
-                name=str(_require(raw, "name", context)),
-                path=str(_require(raw, "path", context)),
-                smiles_column=str(_require(raw, "smiles_column", context)),
+                name=_get(raw, "name", context, str),
+                path=_get(raw, "path", context, str),
+                smiles_column=_get(raw, "smiles_column", context, str),
                 task_columns=tuple(
-                    str(c) for c in _require(raw, "task_columns", context)
+                    str(c) for c in _get(raw, "task_columns", context, list)
                 ),
             )
         )
@@ -126,26 +145,26 @@ def parse_config(document: dict) -> BenchmarkConfig:
         raise ConfigError(f"duplicate dataset names: {names}")
 
     rep_entries = []
-    for idx, raw in enumerate(_require(document, "representations", "config")):
+    for idx, raw in enumerate(_get(document, "representations", "config", list)):
         context = f"representations[{idx}]"
-        name = str(_require(raw, "name", context))
-        rep_type = _require(raw, "type", context)
+        name = _get(raw, "name", context, str)
+        rep_type = _get(raw, "type", context, str)
         if rep_type == "fingerprint":
-            try:
-                cfg = FingerprintConfig(
-                    kind=str(_require(raw, "kind", context)),
-                    radius=int(raw.get("radius", 2)),
-                    length=int(raw.get("length", 2048)),
-                    counted=bool(raw.get("counted", True)),
-                )
-            except ValueError as exc:
-                raise ConfigError(f"{context}: {exc}") from None
+            cfg = _build(
+                FingerprintConfig,
+                context,
+                kind=_get(raw, "kind", context, str),
+                radius=_get(raw, "radius", context, int, 2),
+                length=_get(raw, "length", context, int, 2048),
+                counted=_get(raw, "counted", context, bool, True),
+            )
             rep_entries.append(
                 RepresentationEntry(name=name, kind="fingerprint", fingerprint=cfg)
             )
         elif rep_type == "embedding":
             paths = {
-                str(k): str(v) for k, v in _require(raw, "paths", context).items()
+                str(k): str(v)
+                for k, v in _get(raw, "paths", context, dict).items()
             }
             missing = [d for d in names if d not in paths]
             if missing:
@@ -164,28 +183,27 @@ def parse_config(document: dict) -> BenchmarkConfig:
     if len(set(rep_names)) != len(rep_names):
         raise ConfigError(f"duplicate representation names: {rep_names}")
 
-    split_raw = document.get("split", {})
-    bbt_raw = document.get("bbt", {})
-    try:
-        bbt_cfg = BBTConfig(
-            epsilon_tie=float(bbt_raw.get("epsilon_tie", 0.01)),
-            rope=tuple(bbt_raw.get("rope", (0.25, 0.75))),
-            equivalence_mass=float(bbt_raw.get("equivalence_mass", 0.95)),
-            hdi_mass=float(bbt_raw.get("hdi_mass", 0.89)),
-            chains=int(bbt_raw.get("chains", 4)),
-            draws_per_chain=int(bbt_raw.get("draws_per_chain", 5_000)),
-            warmup=int(bbt_raw.get("warmup", 5_000)),
-            seed=int(bbt_raw.get("seed", 0)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bbt: {exc}") from None
+    split_raw = _get(document, "split", "config", dict, {})
+    bbt_raw = _get(document, "bbt", "config", dict, {})
+    bbt_cfg = _build(
+        BBTConfig,
+        "bbt",
+        epsilon_tie=_get(bbt_raw, "epsilon_tie", "bbt", float, 0.01),
+        rope=_get(bbt_raw, "rope", "bbt", tuple, (0.25, 0.75)),
+        equivalence_mass=_get(bbt_raw, "equivalence_mass", "bbt", float, 0.95),
+        hdi_mass=_get(bbt_raw, "hdi_mass", "bbt", float, 0.89),
+        chains=_get(bbt_raw, "chains", "bbt", int, 4),
+        draws_per_chain=_get(bbt_raw, "draws_per_chain", "bbt", int, 5_000),
+        warmup=_get(bbt_raw, "warmup", "bbt", int, 5_000),
+        seed=_get(bbt_raw, "seed", "bbt", int, 0),
+    )
 
-    baseline = str(document.get("baseline", "ECFP-count"))
+    baseline = _get(document, "baseline", "config", str, "ECFP-count")
     if baseline not in rep_names:
         raise ConfigError(
             f"baseline {baseline!r} is not among representations {rep_names}"
         )
-    frac_train = float(split_raw.get("frac_train", 0.8))
+    frac_train = _get(split_raw, "frac_train", "split", float, 0.8)
     if not 0.0 < frac_train < 1.0:
         raise ConfigError(f"split.frac_train must be in (0, 1), got {frac_train}")
 
@@ -193,12 +211,13 @@ def parse_config(document: dict) -> BenchmarkConfig:
         datasets=tuple(dataset_entries),
         representations=tuple(rep_entries),
         frac_train=frac_train,
-        split_seed=int(split_raw.get("seed", 0)),
-        classifier_seed=int(document.get("classifier_seed", 0)),
+        classifier_seed=_get(document, "classifier_seed", "config", int, 0),
         bbt=bbt_cfg,
         baseline=baseline,
-        near_win_epsilon=float(document.get("near_win_epsilon", 0.01)),
-        keep_largest_fragment=bool(document.get("keep_largest_fragment", False)),
+        near_win_epsilon=_get(document, "near_win_epsilon", "config", float, 0.01),
+        keep_largest_fragment=_get(
+            document, "keep_largest_fragment", "config", bool, False
+        ),
     )
 
 
@@ -233,7 +252,7 @@ def _cell_cache_key(config: BenchmarkConfig, entry: DatasetEntry, rep: Represent
                 rep.fingerprint.counted,
             ],
         ],
-        "split": [config.frac_train, config.split_seed],
+        "frac_train": config.frac_train,
         "classifier_seed": config.classifier_seed,
         "keep_largest_fragment": config.keep_largest_fragment,
     }
@@ -257,10 +276,10 @@ def _write_cached_cell(path: Path, payload: dict) -> None:
     os.replace(partial, path)
 
 
-def _evaluate_cell(config: BenchmarkConfig, dataset_name: str, rep_name: str) -> dict:
+def _evaluate_cell(
+    config: BenchmarkConfig, entry: DatasetEntry, rep: RepresentationEntry
+) -> dict:
     """Compute one (representation, dataset) cell; skips are marked, not fatal."""
-    entry = next(d for d in config.datasets if d.name == dataset_name)
-    rep = config.representation(rep_name)
     try:
         dataset = load_dataset(
             entry.path,
@@ -275,11 +294,11 @@ def _evaluate_cell(config: BenchmarkConfig, dataset_name: str, rep_name: str) ->
             )
         else:
             features = load_embeddings(
-                rep.embedding_paths[dataset_name],
+                rep.embedding_paths[entry.name],
                 model_name=rep.name,
                 expected_rows=dataset.n_molecules,
             ).vectors
-        split = scaffold_split(dataset, config.frac_train, config.split_seed)
+        split = scaffold_split(dataset, config.frac_train)
         records = tune_and_evaluate(
             dataset,
             features,
@@ -291,20 +310,14 @@ def _evaluate_cell(config: BenchmarkConfig, dataset_name: str, rep_name: str) ->
         logger.warning("skipping cell: %s", exc)
         return {"skipped": str(exc), "records": []}
     except (DataError, OSError, ValueError) as exc:
-        raise DataError(f"[{rep_name} x {dataset_name}] {exc}") from exc
+        raise DataError(f"[{rep.name} x {entry.name}] {exc}") from exc
     return {"records": [{"head": r.head, "auroc": r.auroc} for r in records]}
-
-
-def _cell_worker(args):
-    config_document, dataset_name, rep_name = args
-    return _evaluate_cell(parse_config(config_document), dataset_name, rep_name)
 
 
 def run_evaluation(
     config: BenchmarkConfig,
     out_dir: Union[str, Path],
     *,
-    config_document: Optional[dict] = None,
     jobs: int = 1,
     resume: bool = False,
 ) -> ScoreTable:
@@ -331,17 +344,17 @@ def run_evaluation(
             pending.append((entry, rep, cache_path))
 
     if pending:
-        if jobs > 1 and config_document is not None and len(pending) > 1:
+        if jobs > 1 and len(pending) > 1:
             # cache each cell as it lands, so a failing cell or an interrupt
             # keeps every cell that finished; after the first failure the
             # cells not yet started are cancelled, the running ones are
             # still cached, and then the failure is raised
             failure: Optional[Exception] = None
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                futures = {}
-                for entry, rep, cache_path in pending:
-                    task = (config_document, entry.name, rep.name)
-                    futures[pool.submit(_cell_worker, task)] = (entry, rep, cache_path)
+                futures = {
+                    pool.submit(_evaluate_cell, config, entry, rep): (entry, rep, cache_path)
+                    for entry, rep, cache_path in pending
+                }
                 for future in as_completed(futures):
                     entry, rep, cache_path = futures[future]
                     try:
@@ -359,7 +372,7 @@ def run_evaluation(
         else:
             for entry, rep, cache_path in pending:
                 logger.info("evaluating %s x %s", rep.name, entry.name)
-                payload = _evaluate_cell(config, entry.name, rep.name)
+                payload = _evaluate_cell(config, entry, rep)
                 results[(entry.name, rep.name)] = payload
                 _write_cached_cell(cache_path, payload)
 
@@ -451,14 +464,11 @@ def run_pipeline(
     config: BenchmarkConfig,
     out_dir: Union[str, Path],
     *,
-    config_document: Optional[dict] = None,
     jobs: int = 1,
     resume: bool = False,
 ) -> ScoreTable:
     """Full workflow: evaluate all cells, rank models, emit all reports."""
-    scores = run_evaluation(
-        config, out_dir, config_document=config_document, jobs=jobs, resume=resume
-    )
+    scores = run_evaluation(config, out_dir, jobs=jobs, resume=resume)
     if len(scores.models()) >= 2:
         write_comparison_outputs(scores, config.bbt, out_dir)
     write_report_outputs(

@@ -19,18 +19,10 @@ from .harness.metrics import average_ranks
 from .harness.scores import BEST_HEAD, ScoreTable
 
 
-def _score_matrix(scores: ScoreTable, head: str) -> tuple[list[str], list[str], np.ndarray]:
-    models = scores.models()
-    datasets = scores.datasets()
-    matrix = np.full((len(models), len(datasets)), np.nan)
-    missing = []
-    for i, model in enumerate(models):
-        for d, dataset in enumerate(datasets):
-            value = scores.get(model, dataset, head)
-            if value is None:
-                missing.append((model, dataset))
-            else:
-                matrix[i, d] = value
+def _complete_matrix(scores: ScoreTable, head: str) -> tuple[list[str], list[str], np.ndarray]:
+    """``scores.matrix(head)``; a missing or NaN cell is a DataError."""
+    models, datasets, matrix = scores.matrix(head)
+    missing = [(models[i], datasets[d]) for i, d in np.argwhere(np.isnan(matrix))]
     if missing:
         raise DataError(f"incomplete score table; missing cells: {missing}")
     return models, datasets, matrix
@@ -45,7 +37,7 @@ class AggregateRow:
 
 def aggregate_report(scores: ScoreTable, head: str = BEST_HEAD) -> list[AggregateRow]:
     """Mean rank (average ranks on exact ties) and mean AUROC per model."""
-    models, _, matrix = _score_matrix(scores, head)
+    models, _, matrix = _complete_matrix(scores, head)
     # rank 1 = highest AUROC within each dataset
     ranks = np.stack(
         [average_ranks(-matrix[:, d]) for d in range(matrix.shape[1])], axis=1
@@ -76,7 +68,7 @@ class WinMatrixResult:
 
 def win_matrix(scores: ScoreTable, epsilon: float = 0.01, head: str = BEST_HEAD) -> WinMatrixResult:
     """Pairwise win fractions; differences within epsilon count as ties."""
-    models, datasets, matrix = _score_matrix(scores, head)
+    models, datasets, matrix = _complete_matrix(scores, head)
     m = len(models)
     wins = np.zeros((m, m))
     ties = np.zeros((m, m))
@@ -108,7 +100,7 @@ def baseline_comparison(
     epsilon: float = 0.01,
     head: str = BEST_HEAD,
 ) -> BaselineComparison:
-    models, datasets, matrix = _score_matrix(scores, head)
+    models, datasets, matrix = _complete_matrix(scores, head)
     if baseline not in models:
         raise DataError(f"baseline {baseline!r} missing from the score table")
     base_row = matrix[models.index(baseline)]

@@ -150,7 +150,7 @@ def test_criterion_3_scaffold_split_and_idempotence():
         )
     leaks = 0
     for ds in datasets:
-        split = scaffold_split(ds, 0.8, 0)
+        split = scaffold_split(ds, 0.8)
         train_keys = {murcko_scaffold(ds.molecules[i]).key for i in split.train_idx}
         test_keys = {murcko_scaffold(ds.molecules[i]).key for i in split.test_idx}
         leaks += len(train_keys & test_keys)

@@ -130,29 +130,45 @@ class TestSplitCommand:
         assert 1 not in set(payload["train"]) | set(payload["test"])
 
 
+def _evaluate_config(dataset_csv, representations):
+    return {
+        "version": 1,
+        "datasets": [
+            {
+                "name": "mini",
+                "path": str(dataset_csv),
+                "smiles_column": "smiles",
+                "task_columns": ["activity"],
+            }
+        ],
+        "representations": [
+            {"name": name, "type": "fingerprint", "kind": kind, "length": 128}
+            for name, kind in representations
+        ],
+        "split": {"frac_train": 0.6, "seed": 0},
+        "baseline": "ECFP-count",
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fingerprint", "--output", "fp.csv", "--input"],
+        ["split", "--output", "split.json", "--input"],
+        ["compare", "--output-dir", "cmp", "--scores"],
+        ["report", "--baseline", "alpha", "--output-dir", "rep", "--scores"],
+    ],
+)
+def test_missing_input_file_is_data_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code = main([*argv, "absent.csv"])
+    assert code == EXIT_DATA
+    assert "absent.csv" in capsys.readouterr().err
+
+
 class TestEvaluateCommand:
     def test_evaluate_and_resume(self, dataset_csv, tmp_path):
-        config = {
-            "version": 1,
-            "datasets": [
-                {
-                    "name": "mini",
-                    "path": str(dataset_csv),
-                    "smiles_column": "smiles",
-                    "task_columns": ["activity"],
-                }
-            ],
-            "representations": [
-                {
-                    "name": "ECFP-count",
-                    "type": "fingerprint",
-                    "kind": "ecfp",
-                    "length": 128,
-                }
-            ],
-            "split": {"frac_train": 0.6, "seed": 0},
-            "baseline": "ECFP-count",
-        }
+        config = _evaluate_config(dataset_csv, [("ECFP-count", "ecfp")])
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config))
         out_dir = tmp_path / "run"
@@ -171,6 +187,20 @@ class TestEvaluateCommand:
         )
         assert code == EXIT_OK
         assert (out_dir / "scores.csv").read_bytes() == first
+
+    def test_seeded_jobs_identical(self, dataset_csv, tmp_path):
+        config = _evaluate_config(
+            dataset_csv, [("ECFP-count", "ecfp"), ("AP", "atom_pair")]
+        )
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        written = []
+        for jobs in ("1", "2"):
+            out_dir = tmp_path / f"jobs{jobs}"
+            argv = ["evaluate", "--config", str(config_path), "--output-dir", str(out_dir)]
+            assert main([*argv, "--seed", "7", "--jobs", jobs]) == EXIT_OK
+            written.append((out_dir / "scores.csv").read_bytes())
+        assert written[0] == written[1]
 
     def test_missing_config_is_config_error(self, tmp_path):
         code = main(

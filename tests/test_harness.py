@@ -140,7 +140,7 @@ class TestScaffoldSplit:
     def test_group_inseparability(self):
         smiles = [f"c1ccccc1{'C' * i}" for i in range(1, 11)] + ["CCO", "CCN"]
         ds = _toy_dataset(smiles, [0, 1] * 6)
-        split = scaffold_split(ds, 0.8, 0)
+        split = scaffold_split(ds, 0.8)
         benzene_indices = set(range(10))
         train, test = set(split.train_idx), set(split.test_idx)
         assert benzene_indices <= train or benzene_indices <= test
@@ -151,7 +151,7 @@ class TestScaffoldSplit:
         # ten distinct ring sizes -> ten singleton groups
         smiles = [f"C1{'C' * i}1" for i in range(2, 12)]
         ds = _toy_dataset(smiles, [0, 1] * 5)
-        split = scaffold_split(ds, 0.8, 0)
+        split = scaffold_split(ds, 0.8)
         assert len(split.train_idx) == math.ceil(0.8 * 10)
 
     def test_no_leakage_and_determinism(self):
@@ -159,8 +159,8 @@ class TestScaffoldSplit:
         from molbench.molgraph import murcko_scaffold
 
         ds = load_dataset(toy_dataset_path(), "smiles", ["activity"])
-        split_a = scaffold_split(ds, 0.8, 0)
-        split_b = scaffold_split(ds, 0.8, 0)
+        split_a = scaffold_split(ds, 0.8)
+        split_b = scaffold_split(ds, 0.8)
         assert split_a == split_b
         train_keys = {murcko_scaffold(ds.molecules[i]).key for i in split_a.train_idx}
         test_keys = {murcko_scaffold(ds.molecules[i]).key for i in split_a.test_idx}
@@ -169,12 +169,12 @@ class TestScaffoldSplit:
     def test_single_group_rejected(self):
         ds = _toy_dataset(["CCO", "CCC", "CCN"], [0, 1, 0])
         with pytest.raises(DataError, match="scaffold"):
-            scaffold_split(ds, 0.5, 0)
+            scaffold_split(ds, 0.5)
 
     def test_bad_fraction(self):
         ds = _toy_dataset(["CCO", "c1ccccc1"], [0, 1])
         with pytest.raises(ValueError):
-            scaffold_split(ds, 1.0, 0)
+            scaffold_split(ds, 1.0)
 
 
 class TestAuroc:
@@ -413,7 +413,7 @@ class TestTuneAndEvaluate:
 
         ds = _separable_setup()
         features = EcfpFingerprint(length=256).transform(ds.molecules).astype(float)
-        split = scaffold_split(ds, 0.6, 0)
+        split = scaffold_split(ds, 0.6)
         specs = (
             ClassifierSpec("knn", tuple({"n_neighbors": k} for k in (1, 3)), 0),
             ClassifierSpec("logreg", tuple({"reg_strength": v} for v in (1.0, 100.0)), 0),
@@ -443,7 +443,7 @@ class TestTuneAndEvaluate:
 
         ds = load_dataset(toy_dataset_path(), "smiles", ["activity"])
         features = EcfpFingerprint(length=256).transform(ds.molecules).astype(float)
-        split = scaffold_split(ds, 0.8, 0)
+        split = scaffold_split(ds, 0.8)
         specs = [s for s in default_specs(0) if s.head != "random_forest"]
         records = tune_and_evaluate(ds, features, split, "ecfp", specs=specs)
         assert {r.head: r.auroc for r in records} == {
@@ -457,7 +457,7 @@ class TestTuneAndEvaluate:
 
         ds = _separable_setup(10)
         features = EcfpFingerprint(length=128).transform(ds.molecules).astype(float)
-        split = scaffold_split(ds, 0.6, 0)
+        split = scaffold_split(ds, 0.6)
         specs = (ClassifierSpec("knn", ({"n_neighbors": 3}, {"n_neighbors": 0}), 0),)
         with pytest.raises(ValueError, match="n_neighbors"):
             tune_and_evaluate(ds, features, split, "m", specs=specs)
@@ -472,7 +472,7 @@ class TestTuneAndEvaluate:
         from molbench.fingerprints import EcfpFingerprint
 
         features = EcfpFingerprint(length=128).transform(ds.molecules).astype(float)
-        split = scaffold_split(two_task, 0.6, 0)
+        split = scaffold_split(two_task, 0.6)
         specs = (ClassifierSpec("knn", ({"n_neighbors": 1},), 0),)
         records = tune_and_evaluate(two_task, features, split, "m", specs=specs)
         assert all(0.0 <= r.auroc <= 1.0 for r in records)
@@ -485,7 +485,7 @@ class TestTuneAndEvaluate:
         from molbench.fingerprints import EcfpFingerprint
 
         features = EcfpFingerprint(length=128).transform(ds.molecules).astype(float)
-        split = scaffold_split(skewed, 0.6, 0)
+        split = scaffold_split(skewed, 0.6)
         specs = (ClassifierSpec("knn", ({"n_neighbors": 1},), 0),)
         with pytest.raises(DataError, match="no task"):
             tune_and_evaluate(skewed, features, split, "m", specs=specs)
@@ -502,6 +502,20 @@ class TestScoreTable:
         path = tmp_path / "scores.csv"
         table.to_csv(path)
         assert ScoreTable.from_csv(path) == table
+
+    def test_matrix_sorted_with_nan_for_missing_cells(self):
+        table = ScoreTable(
+            [
+                ScoreRecord("b", "d2", "best", 0.75),
+                ScoreRecord("a", "d1", "best", 0.5),
+                ScoreRecord("b", "d1", "knn", 0.25),
+            ]
+        )
+        models, datasets, matrix = table.matrix()
+        assert (models, datasets) == (["a", "b"], ["d1", "d2"])
+        np.testing.assert_array_equal(matrix, [[0.5, np.nan], [np.nan, 0.75]])
+        _, _, knn = table.matrix("knn")
+        np.testing.assert_array_equal(knn, [[np.nan, np.nan], [0.25, np.nan]])
 
     def test_duplicate_rejected(self):
         table = ScoreTable([ScoreRecord("a", "d", "best", 0.5)])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from molbench.errors import ConfigError, DataError
+from molbench import pipeline
 from molbench.harness import write_embeddings
 from molbench.pipeline import (
     load_config,
@@ -103,6 +104,28 @@ class TestConfigValidation:
         document = json.loads(json.dumps(document))
         document["representations"][0]["length"] = 100
         with pytest.raises(ConfigError, match="power of two"):
+            parse_config(document)
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            pytest.param(("datasets", 0), 5, id="dataset-entry"),
+            pytest.param(("split",), 5, id="split"),
+            pytest.param(("split", "frac_train"), "abc", id="frac_train"),
+            pytest.param(("classifier_seed",), "x", id="classifier_seed"),
+            pytest.param(("bbt", "rope"), 5, id="rope"),
+            pytest.param(("datasets", 0, "task_columns"), 5, id="task_columns"),
+            pytest.param(("representations", 1, "paths"), ["tiny.emb"], id="paths"),
+        ],
+    )
+    def test_malformed_value_is_config_error(self, workspace, path, value):
+        _, _, document = workspace
+        document = json.loads(json.dumps(document))
+        parent = document
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(ConfigError):
             parse_config(document)
 
     def test_invalid_json_file(self, tmp_path):
@@ -208,9 +231,25 @@ class TestEvaluationPipeline:
         config = parse_config(document)
         serial = run_evaluation(config, tmp_path / "serial")
         parallel = run_evaluation(
-            config, tmp_path / "parallel", config_document=document, jobs=2
+            config, tmp_path / "parallel", jobs=2
         )
         assert serial == parallel
+
+    def test_jobs_use_a_process_pool(self, workspace, tmp_path, monkeypatch):
+        _, _, document = workspace
+        config = parse_config(document)
+        pools = []
+
+        class SpyPool(pipeline.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", SpyPool)
+        parallel = run_evaluation(config, tmp_path / "parallel", jobs=2)
+        assert pools == [2]
+        assert parallel == run_evaluation(config, tmp_path / "serial")
+        assert pools == [2]
 
     def test_parallel_failure_keeps_finished_cells(self, workspace, tmp_path):
         root, _, document = workspace
@@ -220,12 +259,12 @@ class TestEvaluationPipeline:
         config = parse_config(document)
         out = tmp_path / "failing"
         with pytest.raises(DataError, match=r"ext-model x tiny"):
-            run_evaluation(config, out, config_document=document, jobs=2)
+            run_evaluation(config, out, jobs=2)
         (kept,) = (out / "cache").glob("ECFP-count__*.json")
         mtime = kept.stat().st_mtime_ns
 
         embeddings.write_bytes(intact)
-        table = run_evaluation(config, out, config_document=document, jobs=2, resume=True)
+        table = run_evaluation(config, out, jobs=2, resume=True)
         assert kept.stat().st_mtime_ns == mtime
         assert table == run_evaluation(config, tmp_path / "serial")
 

@@ -57,6 +57,11 @@ class TestAggregateReport:
         with pytest.raises(DataError, match="missing"):
             aggregate_report(table)
 
+    def test_nan_cell_counts_as_missing(self):
+        table = _table([("A", "d1", 0.7), ("B", "d1", float("nan"))])
+        with pytest.raises(DataError, match=r"missing cells: \[\('B', 'd1'\)\]"):
+            aggregate_report(table)
+
     def test_label_permutation_equivariance(self):
         rng = np.random.default_rng(0)
         rows = [
