@@ -167,6 +167,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="molbench",
         description="Benchmark molecular representations with Bayesian ranking",
     )
+    parser.add_argument(
+        "--log-level",
+        default="INFO",
+        choices=("DEBUG", "INFO", "WARNING", "ERROR"),
+        help="least severe log messages shown on stderr (default: INFO)",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fingerprint", help="SMILES file -> fingerprint matrix")
@@ -212,9 +218,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger().setLevel(args.log_level)
     try:
         return args.func(args)
     except ConfigError as exc:

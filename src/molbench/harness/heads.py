@@ -7,6 +7,12 @@ from a per-tree seed stream and each node's candidate features from a stream
 keyed by (tree seed, node position), so results do not depend on scheduling
 or on where a tree stops growing.
 
+The forest grows all its trees together, level by level: each level draws
+the candidate features of every open node, finds all their best splits in
+batched array operations (a bincount over node, candidate and bin for
+integer counts, one segment-wise sort otherwise) and partitions all their
+rows at once. Only the per-node feature draw remains a Python loop.
+
 Two heads serve a whole hyperparameter grid from one fit: ``neighbor_labels``
 ranks the training rows once for the largest k, and a forest grown at a small
 ``min_samples_split`` predicts for any larger one by stopping at smaller nodes.
@@ -14,6 +20,7 @@ ranks the training rows once for the largest k, and a forest grown at a small
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -195,53 +202,29 @@ class LogisticRegressionHead(ParamsMixin):
         return np.column_stack((1.0 - p, p))
 
 
-class _Tree:
-    """One tree's nodes; every node keeps its row count and positive fraction."""
-
-    __slots__ = ("feature", "threshold", "left", "right", "value", "n_rows")
-
-    def __init__(self):
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.value: list[float] = []
-        self.n_rows: list[int] = []
-
-    def add_node(self) -> int:
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(0.0)
-        self.n_rows.append(0)
-        return len(self.feature) - 1
-
-    def finalize(self):
-        self.feature = np.asarray(self.feature, dtype=np.int64)
-        self.threshold = np.asarray(self.threshold, dtype=np.float64)
-        self.left = np.asarray(self.left, dtype=np.int64)
-        self.right = np.asarray(self.right, dtype=np.int64)
-        self.value = np.asarray(self.value, dtype=np.float64)
-        self.n_rows = np.asarray(self.n_rows, dtype=np.int64)
+# Most cells one batched split search may cover: rows x candidates, and for the
+# binned search also nodes x candidates x bins. It bounds the search's
+# temporary arrays, whatever the number of trees grown together.
+_BATCH_CELLS = 1 << 14
 
 
 class _Forest:
-    """The nodes of every tree in flat arrays, so one traversal serves all trees."""
+    """The nodes of every tree in flat arrays, so one traversal serves all trees.
 
-    __slots__ = ("feature", "threshold", "left", "right", "value", "n_rows", "roots")
+    Tree t's root is node t; every node keeps its row count and positive
+    fraction. A leaf has feature -1; a split node's left child is node
+    ``left`` and its right child the node after it.
+    """
 
-    def __init__(self, trees: list[_Tree]):
-        sizes = [len(tree.feature) for tree in trees]
-        self.roots = np.cumsum([0, *sizes[:-1]])
-        offsets = np.repeat(self.roots, sizes)
-        self.feature = np.concatenate([tree.feature for tree in trees])
-        self.threshold = np.concatenate([tree.threshold for tree in trees])
-        self.value = np.concatenate([tree.value for tree in trees])
-        self.n_rows = np.concatenate([tree.n_rows for tree in trees])
-        # leaves' -1 children shift too, but traversal never follows a leaf
-        self.left = np.concatenate([tree.left for tree in trees]) + offsets
-        self.right = np.concatenate([tree.right for tree in trees]) + offsets
+    __slots__ = ("feature", "threshold", "left", "value", "n_rows", "roots")
+
+    def __init__(self, feature, threshold, left, value, n_rows, n_trees):
+        self.feature = feature
+        self.threshold = threshold
+        self.left = left
+        self.value = value
+        self.n_rows = n_rows
+        self.roots = np.arange(n_trees)
 
     def predict(self, X: np.ndarray, min_samples_split: int) -> np.ndarray:
         """Per-tree values, shape (trees, rows of X).
@@ -255,8 +238,8 @@ class _Forest:
         active = np.flatnonzero(descend[node])
         while active.size:
             at = node[active]
-            go_left = X[sample[active], self.feature[at]] <= self.threshold[at]
-            node[active] = np.where(go_left, self.left[at], self.right[at])
+            go_right = X[sample[active], self.feature[at]] > self.threshold[at]
+            node[active] = self.left[at] + go_right
             active = active[descend[node[active]]]
         return self.value[node].reshape(len(self.roots), X.shape[0])
 
@@ -270,130 +253,228 @@ def _entropy_curve(pos: np.ndarray, total: np.ndarray) -> np.ndarray:
     return -(term_p + term_q)
 
 
-def _best_split(X_sub: np.ndarray, y: np.ndarray):
-    """Best (column, threshold, weighted child entropy) or None.
+def _first_lowest(owner, left_n, left_pos, n, n_pos) -> np.ndarray:
+    """Index of each owner's candidate split with the lowest child entropy.
 
-    Ties resolve to the first candidate column, then the lowest threshold.
+    A candidate split sends ``left_n`` of its node's ``n`` rows, ``left_pos``
+    of its ``n_pos`` positives, to the left; both sides are non-empty. The
+    splits come grouped by owning node, each node's in candidate order then
+    threshold order, and a tie keeps the first.
     """
-    m, k = X_sub.shape
-    order = np.argsort(X_sub, axis=0, kind="stable")
-    sorted_x = np.take_along_axis(X_sub, order, axis=0)
-    sorted_y = y[order]
-    cum_pos = np.cumsum(sorted_y, axis=0)
-    total_pos = cum_pos[-1]
-
-    left_n = np.arange(1, m, dtype=np.float64)[:, None]
-    right_n = m - left_n
-    left_pos = cum_pos[:-1]
-    right_pos = total_pos[None, :] - left_pos
+    if not len(owner):
+        return np.empty(0, dtype=np.intp)
+    left_n = left_n.astype(np.float64)
+    left_pos = left_pos.astype(np.float64)
+    right_n = n - left_n
+    right_pos = n_pos - left_pos
     child = (
         left_n * _entropy_curve(left_pos, left_n)
         + right_n * _entropy_curve(right_pos, right_n)
-    ) / m
-    valid = sorted_x[1:] > sorted_x[:-1]
-    if not valid.any():
-        return None
-    child = np.where(valid, child, np.inf)
-    flat = np.argmin(child.T)  # column-major: candidate order, then threshold
-    col, pos = divmod(int(flat), m - 1)
-    threshold = 0.5 * (sorted_x[pos, col] + sorted_x[pos + 1, col])
-    return col, float(threshold), float(child[pos, col])
+    ) / n
+    first = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
+    lowest = np.minimum.reduceat(child, first)
+    hit = np.flatnonzero(child == np.repeat(lowest, np.diff(np.r_[first, len(owner)])))
+    return hit[np.r_[True, owner[hit[1:]] != owner[hit[:-1]]]]
 
 
-def _best_split_binned(X_sub: np.ndarray, y: np.ndarray, n_bins: int):
-    """Split finder for small non-negative integer features via bincount.
+def _group_codes(codes, rows, sizes, candidates, scale):
+    """Each node row's codes at the node's k candidates, shape (rows, k).
 
-    Equivalent split choice to the sorting path (candidate-order then
-    lowest-threshold tie-break) at O(m*k + k*bins) instead of a per-node
-    argsort; thresholds land on bin boundaries (b + 0.5).
+    ``rows`` holds every node's rows, node after node. The code at candidate
+    column c of node j is offset by scale * (j * k + c), so each (node,
+    candidate) group occupies its own range of values.
     """
-    m, k = X_sub.shape
-    flat = (X_sub + n_bins * np.arange(k)[None, :]).ravel()
-    counts = np.bincount(flat, minlength=k * n_bins).reshape(k, n_bins)
-    pos = np.bincount(
-        flat, weights=np.repeat(y, k), minlength=k * n_bins
-    ).reshape(k, n_bins)
-
-    left_n = np.cumsum(counts, axis=1)[:, :-1].astype(np.float64)
-    left_pos = np.cumsum(pos, axis=1)[:, :-1]
-    total_pos = pos.sum(axis=1, keepdims=True)
-    right_n = m - left_n
-    right_pos = total_pos - left_pos
-    valid = (left_n > 0) & (right_n > 0)
-    if not valid.any():
-        return None
-    # empty sides get a dummy count of 1; their entries are masked below
-    child = (
-        left_n * _entropy_curve(left_pos, np.maximum(left_n, 1.0))
-        + right_n * _entropy_curve(right_pos, np.maximum(right_n, 1.0))
-    ) / m
-    child = np.where(valid, child, np.inf)
-    flat_best = int(np.argmin(child))  # row-major: candidate order, then bin
-    col, b = divmod(flat_best, n_bins - 1)
-    return col, b + 0.5, float(child[col, b])
+    nodes, k = candidates.shape
+    cell = np.repeat(candidates, sizes, axis=0)
+    cell += (rows * codes.shape[1])[:, None]
+    code = codes.take(cell)
+    np.add(
+        np.repeat(np.arange(0, nodes * k * scale, k * scale), sizes)[:, None],
+        np.arange(0, k * scale, scale),
+        out=cell,
+    )
+    cell += code
+    return cell
 
 
-def _grow_tree(
-    X: np.ndarray,
-    y: np.ndarray,
-    tree_seed: np.random.SeedSequence,
-    min_samples_split: int,
-    n_features_node: int,
-    X_int: np.ndarray | None = None,
-    n_bins: int = 0,
-) -> _Tree:
-    """Grow one tree on a bootstrap of the rows of X.
+def _binned_search(codes, n_bins, positive, rows, sizes, n_pos, candidates):
+    """Best split of each node for small non-negative integer features.
 
-    The bootstrap comes from ``tree_seed``; each node's candidate features
-    come from a stream keyed by the tree seed and the node's heap index (root
-    1, children 2p and 2p+1). A node therefore splits the same way whatever
-    ``min_samples_split`` is, as long as it has at least that many rows, so
-    the tree grown at m is the tree grown at 2 cut back at smaller nodes.
+    One bincount over (node, candidate, bin) replaces per-node sorting;
+    thresholds land on bin boundaries (b + 0.5). ``rows`` holds every node's
+    rows, node after node. Returns the nodes that split, the winning
+    candidate column and the threshold.
     """
-    n = X.shape[0]
-    bootstrap = np.random.default_rng(tree_seed).integers(0, n, size=n)
-    split_X = X if X_int is None else X_int
+    nodes, k = candidates.shape
+    cells = nodes * k * n_bins
+    cell = _group_codes(codes, rows, sizes, candidates, n_bins)
+    counts = np.bincount(cell.ravel(), minlength=cells).reshape(nodes * k, n_bins)
+    pos = np.bincount(cell[positive[rows]].ravel(), minlength=cells)
+    left_n = np.cumsum(counts[:, :-1], axis=1).reshape(nodes, -1)
+    left_pos = np.cumsum(pos.reshape(nodes * k, n_bins)[:, :-1], axis=1).ravel()
+    entry = np.flatnonzero((left_n > 0) & (left_n < sizes[:, None]))
+    group, b = np.divmod(entry, n_bins - 1)
+    owner = group // k
+    best = _first_lowest(
+        owner, left_n.ravel()[entry], left_pos[entry], sizes[owner], n_pos[owner]
+    )
+    return owner[best], group[best] % k, b[best] + 0.5
 
-    tree = _Tree()
-    stack = [(tree.add_node(), 1, bootstrap)]
-    while stack:
-        node, heap_index, rows = stack.pop()
-        y_node = y[rows]
-        pos_fraction = float(y_node.mean())
-        tree.n_rows[node] = len(rows)
-        tree.value[node] = pos_fraction
-        if (
-            len(rows) < min_samples_split
-            or pos_fraction == 0.0
-            or pos_fraction == 1.0
-        ):
-            continue
-        node_rng = np.random.default_rng(
-            np.random.SeedSequence(
-                tree_seed.entropy, spawn_key=(*tree_seed.spawn_key, heap_index)
-            )
+
+def _sorted_search(codes, order, X, rows, sizes, n_pos, candidates):
+    """Best split of each node for any features, by one segment-wise sort.
+
+    ``codes`` holds 2 * rank + label for every entry of X, where a value's
+    rank is its position in its column's ``order`` (equal values share the
+    first). Thresholds fall midway between neighbouring distinct values.
+    Other arguments and the result as for ``_binned_search``.
+    """
+    k = candidates.shape[1]
+    shift = len(X).bit_length() + 1  # codes < 2**shift
+    key = _group_codes(codes, rows, sizes, candidates, 1 << shift)
+    key = np.sort(key, axis=None)  # (node, candidate) groups, each by value
+    group_n = np.repeat(sizes, k)
+    group_end = np.cumsum(group_n)
+    value = key >> 1
+    distinct = value[1:] != value[:-1]
+    distinct[group_end[:-1] - 1] = False  # no split across groups
+    entry = np.flatnonzero(distinct)
+    group = key[entry] >> shift
+    start = group_end[group] - group_n[group]
+    cum_pos = np.cumsum(key & 1)
+    owner = group // k
+    best = _first_lowest(
+        owner,
+        entry - start + 1,
+        cum_pos[entry] - cum_pos[start] + (key[start] & 1),
+        sizes[owner],
+        n_pos[owner],
+    )
+    at, col = entry[best], group[best] % k
+    feature = candidates[owner[best], col]
+    rank_mask = (1 << (shift - 1)) - 1
+    below = X[order[value[at] & rank_mask, feature], feature]
+    above = X[order[value[at + 1] & rank_mask, feature], feature]
+    return owner[best], col, 0.5 * (below + above)
+
+
+def _rank_codes(X, y):
+    """2 * rank + label for every entry of X, and each column's argsort.
+
+    A value's rank is its position in its column's argsort, shared by equal
+    values as the first; columns go in chunks to bound the temporaries.
+    """
+    n = len(X)
+    order = np.empty(X.shape, dtype=np.int32)
+    codes = np.empty(X.shape, dtype=np.int32)
+    step = max(1, _BATCH_CELLS // n)
+    for c in range(0, X.shape[1], step):
+        block = X[:, c : c + step]
+        block_order = np.argsort(block, axis=0)
+        ordered = np.take_along_axis(block, block_order, axis=0)
+        first = np.ones(ordered.shape, dtype=bool)
+        first[1:] = ordered[1:] > ordered[:-1]
+        rank = np.maximum.accumulate(np.where(first, np.arange(n)[:, None], 0), axis=0)
+        np.put_along_axis(codes[:, c : c + step], block_order, rank, axis=0)
+        order[:, c : c + step] = block_order
+    codes *= 2
+    codes += (y == 1.0)[:, None]
+    return codes, order
+
+
+def _batches(sizes: np.ndarray, row_cells: int, node_cells: int):
+    """Slices of consecutive nodes within _BATCH_CELLS, at least one node each.
+
+    A batch of nodes costs ``row_cells`` per row plus ``node_cells`` per node.
+    """
+    ends = np.cumsum(sizes) * row_cells + np.arange(1, len(sizes) + 1) * node_cells
+    start = 0
+    while start < len(sizes):
+        before = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, before + _BATCH_CELLS, "right")))
+        yield slice(start, stop)
+        start = stop
+
+
+def _grow_forest(X, y, seeds, min_samples_split, n_features_node) -> _Forest:
+    """Grow one tree per seed on a bootstrap of the rows of X, level by level.
+
+    Every level advances the open nodes of all trees together: one batched
+    split search over all of them, one partition of their rows. Each tree's
+    bootstrap comes from its seed; each node's candidate features come from
+    a stream keyed by the tree seed and the node's heap index (root 1,
+    children 2p and 2p+1, kept as exact Python ints at any depth). A node
+    therefore splits the same way whatever ``min_samples_split`` is, as long
+    as it has at least that many rows, so the forest grown at m is the forest
+    grown at 2 cut back at smaller nodes.
+    """
+    n, d = X.shape
+    positive = y == 1.0
+    # small non-negative integer features (fingerprint counts) take a
+    # bincount split search instead of sorting
+    if X.size and X.min() >= 0 and X.max() <= 255 and np.all(X == np.floor(X)):
+        n_bins = int(X.max()) + 2
+        search = functools.partial(_binned_search, X.astype(np.uint8), n_bins, positive)
+    else:
+        n_bins = 0
+        search = functools.partial(_sorted_search, *_rank_codes(X, y), X)
+
+    rows = np.concatenate([np.random.default_rng(s).integers(0, n, size=n) for s in seeds])
+    sizes = np.full(len(seeds), n)
+    tree = np.arange(len(seeds))
+    heap = [1] * len(seeds)
+    levels = []
+    n_nodes = 0
+    while len(sizes):
+        count = len(sizes)
+        owner = np.repeat(np.arange(count), sizes)
+        n_pos = np.bincount(owner[positive[rows]], minlength=count)
+        feature = np.full(count, -1, dtype=np.int64)
+        threshold = np.zeros(count)
+
+        open_nodes = np.flatnonzero(
+            (sizes >= min_samples_split) & (n_pos > 0) & (n_pos < sizes)
         )
-        candidates = node_rng.choice(X.shape[1], size=n_features_node, replace=False)
-        block = split_X[np.ix_(rows, candidates)]
-        if X_int is not None:
-            found = _best_split_binned(block, y_node, n_bins)
-        else:
-            found = _best_split(block, y_node)
-        if found is None:
-            continue
-        col, threshold, _ = found
-        feature = int(candidates[col])
-        go_left = X[rows, feature] <= threshold
-        left = tree.add_node()
-        right = tree.add_node()
-        tree.feature[node] = feature
-        tree.threshold[node] = threshold
-        tree.left[node] = left
-        tree.right[node] = right
-        stack.append((right, 2 * heap_index + 1, rows[~go_left]))
-        stack.append((left, 2 * heap_index, rows[go_left]))
-    tree.finalize()
-    return tree
+        candidates = np.empty((len(open_nodes), n_features_node), dtype=np.int64)
+        for i, node in enumerate(open_nodes.tolist()):
+            seed = seeds[tree[node]]
+            node_rng = np.random.default_rng(
+                np.random.SeedSequence(seed.entropy, spawn_key=(*seed.spawn_key, heap[node]))
+            )
+            candidates[i] = node_rng.choice(d, size=n_features_node, replace=False)
+        is_open = np.zeros(count, dtype=bool)
+        is_open[open_nodes] = True
+        open_rows = rows[is_open[owner]]
+        open_sizes = sizes[open_nodes]
+        row_bounds = np.r_[0, np.cumsum(open_sizes)]
+        for part in _batches(open_sizes, n_features_node, n_features_node * n_bins):
+            split, col, cut = search(
+                open_rows[row_bounds[part.start] : row_bounds[part.stop]],
+                open_sizes[part],
+                n_pos[open_nodes[part]],
+                candidates[part],
+            )
+            split += part.start
+            feature[open_nodes[split]] = candidates[split, col]
+            threshold[open_nodes[split]] = cut
+
+        is_split = feature >= 0
+        splits = np.flatnonzero(is_split)
+        left = np.full(count, -1, dtype=np.int64)
+        left[splits] = n_nodes + count + 2 * np.arange(len(splits))
+        levels.append((feature, threshold, left, n_pos / sizes, sizes))
+
+        keep = is_split[owner]
+        rows, owner = rows[keep], owner[keep]
+        child = 2 * (np.cumsum(is_split) - 1)[owner] + (
+            X[rows, feature[owner]] > threshold[owner]
+        )
+        rows = rows[np.argsort(child, kind="stable")]
+        sizes = np.bincount(child, minlength=2 * len(splits))
+        tree = np.repeat(tree[splits], 2)
+        heap = [h for node in splits.tolist() for h in (2 * heap[node], 2 * heap[node] + 1)]
+        n_nodes += count
+    return _Forest(*(np.concatenate(column) for column in zip(*levels)), len(seeds))
 
 
 class RandomForestHead(ParamsMixin):
@@ -402,7 +483,10 @@ class RandomForestHead(ParamsMixin):
     Every tree draws its bootstrap from its own seed stream, and every node
     its candidate features from a stream keyed by (tree seed, node position),
     so fits are bit-identical for a given seed no matter how trees are
-    scheduled. Because a node's split does not depend on ``min_samples_split``,
+    scheduled: ``fit`` grows all trees together, one level at a time, and
+    gives the same forest a tree-by-tree grower would. A split minimises the
+    weighted child entropy; ties go to the first candidate, then the lowest
+    threshold. Because a node's split does not depend on ``min_samples_split``,
     a forest fitted at m predicts, through ``predict_proba(X, m2)``, exactly
     what a forest fitted at any m2 >= m predicts: traversal stops at nodes
     with fewer than m2 rows. One fit at the smallest grid value thus serves a
@@ -426,27 +510,12 @@ class RandomForestHead(ParamsMixin):
         X, y = check_X_y(X, y)
         if X.shape[0] == 0:
             raise ValueError("empty training set")
-        n_features_node = max(1, math.isqrt(X.shape[1]))
-        # small non-negative integer features (fingerprint counts) take a
-        # bincount split finder instead of per-node sorting
-        X_int, n_bins = None, 0
-        if X.size and X.min() >= 0 and X.max() <= 255 and np.all(X == np.floor(X)):
-            n_bins = int(X.max()) + 2
-            X_int = X.astype(np.int64)
-        seeds = np.random.SeedSequence(self.seed).spawn(self.n_estimators)
-        self._forest = _Forest(
-            [
-                _grow_tree(
-                    X,
-                    y,
-                    tree_seed,
-                    self.min_samples_split,
-                    n_features_node,
-                    X_int=X_int,
-                    n_bins=n_bins,
-                )
-                for tree_seed in seeds
-            ]
+        self._forest = _grow_forest(
+            X,
+            y,
+            np.random.SeedSequence(self.seed).spawn(self.n_estimators),
+            self.min_samples_split,
+            max(1, math.isqrt(X.shape[1])),
         )
         self._grown_min_samples_split = self.min_samples_split
         return self

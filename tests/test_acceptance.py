@@ -233,6 +233,7 @@ def _two_model_grid_oracle(w12: float, w21: float, mass: float = 0.89):
     return mean, best[1], best[2]
 
 
+@pytest.mark.slow
 def test_criterion_5_two_model_oracle():
     """MCMC mean and HDI endpoints within 0.01 of grid quadrature."""
     start = time.perf_counter()
@@ -260,6 +261,7 @@ def test_criterion_5_two_model_oracle():
     )
 
 
+@pytest.mark.slow
 def test_criterion_6_synthetic_recovery():
     """Point recovery within 0.05 on a pinned dataset; HDI coverage 80-96%."""
     start = time.perf_counter()
@@ -333,6 +335,7 @@ def test_criterion_7_decision_anchors():
     assert _report("criterion-7 decision-anchors", ok, f"failures={failures}")
 
 
+@pytest.mark.slow
 def test_criterion_8_end_to_end_smoke(tmp_path):
     """Toy dataset, count ECFP, all heads; byte-identical rerun."""
     start = time.perf_counter()
@@ -388,6 +391,7 @@ def test_criterion_8_end_to_end_smoke(tmp_path):
     )
 
 
+@pytest.mark.slow
 def test_criterion_9_ppc_self_consistency():
     """On model-generated data, at least 92% of pairs stay unflagged."""
     start = time.perf_counter()

@@ -202,6 +202,26 @@ class TestEvaluateCommand:
             written.append((out_dir / "scores.csv").read_bytes())
         assert written[0] == written[1]
 
+    def test_log_level_warning_hides_info(self, tmp_path, caplog):
+        # an all-zero second task is excluded, which evaluate logs at INFO
+        path = tmp_path / "two_tasks.csv"
+        lines = ["smiles,activity,flat"] + [f"{s},{l},0" for s, l in zip(SMILES, LABELS)]
+        path.write_text("\n".join(lines) + "\n")
+        config = _evaluate_config(path, [("ECFP-count", "ecfp")])
+        config["datasets"][0]["task_columns"] = ["activity", "flat"]
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        logged, written = {}, {}
+        for level in ("WARNING", "INFO"):  # ends at INFO, main()'s default
+            caplog.clear()
+            out_dir = tmp_path / level
+            argv = ["evaluate", "--config", str(config_path), "--output-dir", str(out_dir)]
+            assert main(["--log-level", level, *argv]) == EXIT_OK
+            logged[level] = any("task(s) excluded" in r.getMessage() for r in caplog.records)
+            written[level] = (out_dir / "scores.csv").read_bytes()
+        assert logged == {"INFO": True, "WARNING": False}
+        assert written["INFO"] == written["WARNING"]
+
     def test_missing_config_is_config_error(self, tmp_path):
         code = main(
             [

@@ -1,5 +1,6 @@
 """Dataset ingestion, splits, AUROC, classifier heads, and tuning."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -290,6 +291,80 @@ class TestLogisticHead:
         assert np.all(np.isfinite(head.predict_proba(X)))
 
 
+def _reference_forest_scores(X, y, test, seed, n_trees, min_samples_split):
+    """Positive-class scores of a forest grown tree by tree, node by node.
+
+    The depth-first grower the level-wise one replaced, kept as the
+    reference: the same bootstrap and per-node feature streams, the same
+    entropy arithmetic and tie-breaks (first candidate, then lowest threshold).
+    """
+
+    def entropy(pos, total):
+        p = pos / total
+        q = 1.0 - p
+        return -(p * np.log2(np.where(p > 0, p, 1.0)) + q * np.log2(np.where(q > 0, q, 1.0)))
+
+    def child_entropy(left_n, left_pos, m, total_pos):
+        right_n, right_pos = m - left_n, total_pos - left_pos
+        return (
+            left_n * entropy(left_pos, np.maximum(left_n, 1.0))
+            + right_n * entropy(right_pos, np.maximum(right_n, 1.0))
+        ) / m
+
+    def best_split(block, y_node):
+        m = len(block)
+        if binned:
+            flat = (block.astype(np.int64) + n_bins * np.arange(k)).ravel()
+            counts = np.bincount(flat, minlength=k * n_bins).reshape(k, n_bins)
+            pos = np.bincount(flat, np.repeat(y_node, k), k * n_bins).reshape(k, n_bins)
+            left_n = np.cumsum(counts, axis=1)[:, :-1].astype(np.float64)
+            left_pos = np.cumsum(pos, axis=1)[:, :-1]
+            child = child_entropy(left_n, left_pos, m, pos.sum(axis=1, keepdims=True))
+            child = np.where((left_n > 0) & (left_n < m), child, np.inf)
+            col, b = divmod(int(np.argmin(child)), n_bins - 1)
+            return col, b + 0.5, np.isfinite(child[col, b])
+        order = np.argsort(block, axis=0, kind="stable")
+        sorted_x = np.take_along_axis(block, order, axis=0)
+        cum_pos = np.cumsum(y_node[order], axis=0)
+        left_n = np.arange(1, m, dtype=np.float64)[:, None]
+        child = child_entropy(left_n, cum_pos[:-1], m, cum_pos[-1][None, :])
+        child = np.where(sorted_x[1:] > sorted_x[:-1], child, np.inf).T
+        col, at = divmod(int(np.argmin(child)), m - 1)
+        threshold = 0.5 * (sorted_x[at, col] + sorted_x[at + 1, col])
+        return col, threshold, np.isfinite(child[col, at])
+
+    n, d = X.shape
+    k = max(1, math.isqrt(d))
+    binned = X.min() >= 0 and X.max() <= 255 and np.all(X == np.floor(X))
+    n_bins = int(X.max()) + 2
+    total = np.zeros(len(test))
+    for tree_seed in np.random.SeedSequence(seed).spawn(n_trees):
+        nodes = {}
+        stack = [(1, np.random.default_rng(tree_seed).integers(0, n, size=n))]
+        while stack:
+            heap, rows = stack.pop()
+            value = float(y[rows].mean())
+            nodes[heap] = (value, None, None)
+            if len(rows) < min_samples_split or value in (0.0, 1.0):
+                continue
+            node_seed = np.random.SeedSequence(
+                tree_seed.entropy, spawn_key=(*tree_seed.spawn_key, heap)
+            )
+            candidates = np.random.default_rng(node_seed).choice(d, size=k, replace=False)
+            col, threshold, found = best_split(X[np.ix_(rows, candidates)], y[rows])
+            if found:
+                feature = int(candidates[col])
+                nodes[heap] = (value, feature, threshold)
+                go_left = X[rows, feature] <= threshold
+                stack += [(2 * heap + 1, rows[~go_left]), (2 * heap, rows[go_left])]
+        for i, x in enumerate(test):
+            heap = 1
+            while nodes[heap][1] is not None:
+                heap = 2 * heap + (x[nodes[heap][1]] > nodes[heap][2])
+            total[i] += nodes[heap][0]
+    return total / n_trees
+
+
 class TestForestHead:
     def test_constant_feature_scores_near_train_rate(self):
         y = np.array([0, 0, 0, 1, 1, 1, 1, 1], dtype=float)
@@ -347,6 +422,105 @@ class TestForestHead:
         assert not np.array_equal(
             grown.predict_proba(test, FOREST_GRID[0]), grown.predict_proba(test, FOREST_GRID[-1])
         )
+
+    @pytest.mark.parametrize(
+        "noise, digests",
+        [
+            (
+                0.0,
+                (
+                    "7658f2738c0648151d0ae6b06e8dee168997989cbf2474b608fc15c88c05e55a",
+                    "d19371ddf150d362529490091a0027a527249afaa1e885365a1ffcab29cf89a5",
+                    "3fe1386f0b989699f4716b3491ae84acaf4214e6f7e981dda956ff79b1f386ce",
+                    "b54b4c71097e2d5dcfdbc09106eaabe4993f4f45cae1867335a997fbed174711",
+                    "67203df740321cb791c7201a060e6aa4365db1087a0719765ae51317c8510141",
+                ),
+            ),
+            (
+                0.3,
+                (
+                    "9c80af2656c5b7147aca2ff903addb343cf4df0aec88e60f8db05c482eb885cc",
+                    "ecf7a764903e644e36043f4259714f1f821f91e54ac08b22a7b267446c68de01",
+                    "1482c433dde60215203e034ab232ca0047a6933742f534a1bad4f2960492600f",
+                    "910f49140724c47cc03e20d28c1535f03b2de161813f73295d0e879aada02a64",
+                    "b0de2e13ea959d95144028f6a10b6b36e03d8fb2c2dc4dae2005bbccfa1bb9d6",
+                ),
+            ),
+        ],
+        ids=["binned", "sorted"],
+    )
+    def test_forest_predictions_pinned(self, noise, digests):
+        # pinned bit for bit: how trees are grown must not change the forest
+        rng = np.random.default_rng(11)
+        X = rng.integers(0, 6, size=(150, 40)).astype(float)
+        y = ((X[:, 0] + X[:, 1] + rng.normal(scale=2.0, size=150)) > 5).astype(float)
+        test = rng.integers(0, 6, size=(60, 40)).astype(float)
+        X += noise * rng.normal(scale=1.0, size=X.shape)
+        test += noise * rng.normal(scale=1.0, size=test.shape)
+        head = RandomForestHead(n_estimators=60, seed=4).fit(X, y)
+        found = tuple(
+            hashlib.sha256(head.predict_proba(test, m).tobytes()).hexdigest()
+            for m in FOREST_GRID
+        )
+        assert found == digests
+
+    @pytest.mark.parametrize(
+        "mix, digest",
+        [
+            (0, "3a2644cb989c726a9991eab1d46981ce43394298f9ca0726687bdcf8910a8182"),
+            (337, "ae9916f90c440aada3356fefe4e9a1df54ec662bbe952ed69bd661a7859e4265"),
+        ],
+        ids=["one-feature", "two-features"],
+    )
+    def test_deep_tree_pinned(self, mix, digest):
+        # alternating labels along a feature grow trees past depth 64, where
+        # heap indices (root 1, children 2p and 2p+1) outgrow int64; with a
+        # second, shuffled feature the deep nodes' feature draws pick the split
+        i = np.arange(1000)
+        X = (i + 0.5)[:, None]
+        if mix:
+            X = np.column_stack([X, (i * mix) % 1000 + 0.5])
+        y = (i % 2).astype(float)
+        head = RandomForestHead(n_estimators=20, seed=0).fit(X, y)
+        forest, level, depth = head._forest, head._forest.roots, 0
+        while (inner := level[forest.feature[level] >= 0]).size:
+            level = np.concatenate([forest.left[inner], forest.left[inner] + 1])
+            depth += 1
+        assert depth > 64
+        scores = head.predict_proba(X)
+        assert hashlib.sha256(scores.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("noise", [0.0, 0.1], ids=["binned", "sorted"])
+    def test_batch_size_does_not_change_forest(self, noise, monkeypatch):
+        from molbench.harness import heads
+
+        rng = np.random.default_rng(8)
+        X = rng.integers(0, 4, size=(70, 25)) + rng.normal(scale=noise, size=(70, 25))
+        y = (X[:, 0] + rng.normal(size=70) > 1.5).astype(float)
+        scores = []
+        for cells in (1, heads._BATCH_CELLS, 1 << 24):
+            monkeypatch.setattr(heads, "_BATCH_CELLS", cells)
+            head = RandomForestHead(n_estimators=30, seed=2).fit(X, y)
+            scores.append(head.predict_proba(X))
+        assert np.array_equal(scores[0], scores[1])
+        assert np.array_equal(scores[1], scores[2])
+
+    @pytest.mark.parametrize(
+        "kind, min_samples_split",
+        [("counts", 2), ("counts", 5), ("floats", 2), ("tied floats", 3)],
+    )
+    def test_matches_node_by_node_reference(self, kind, min_samples_split):
+        rng = np.random.default_rng(21)
+        X = {
+            "counts": lambda size: rng.integers(0, 5, size=size).astype(float),
+            "floats": lambda size: rng.normal(size=size),
+            "tied floats": lambda size: np.round(rng.normal(size=size), 1),
+        }[kind]((90, 16))
+        y = (X[:, 0] + X[:, 1] + rng.normal(size=90) > X[:, :2].sum(axis=1).mean()).astype(float)
+        test = X[::3] + rng.normal(scale=0.5, size=X[::3].shape)
+        head = RandomForestHead(min_samples_split, n_estimators=25, seed=6).fit(X, y)
+        expected = _reference_forest_scores(X, y, test, 6, 25, min_samples_split)
+        assert np.array_equal(head.predict_proba(test)[:, 1], expected)
 
     def test_predict_below_grown_split_rejected(self):
         X = np.tile(np.array([[0.0], [1.0]]), (10, 1))
@@ -450,6 +624,21 @@ class TestTuneAndEvaluate:
             "knn": 0.5647321428571429,
             "logreg": 0.9776785714285714,
             BEST_HEAD: 0.9776785714285714,
+        }
+
+    def test_forest_score_unchanged(self):
+        # pinned: how trees are grown must not move the forest's toy score
+        from molbench.data import toy_dataset_path
+        from molbench.fingerprints import EcfpFingerprint
+
+        ds = load_dataset(toy_dataset_path(), "smiles", ["activity"])
+        features = EcfpFingerprint(length=256).transform(ds.molecules).astype(float)
+        split = scaffold_split(ds, 0.8)
+        specs = [s for s in default_specs(0) if s.head == "random_forest"]
+        records = tune_and_evaluate(ds, features, split, "ecfp", specs=specs)
+        assert {r.head: r.auroc for r in records} == {
+            "random_forest": 0.9866071428571429,
+            BEST_HEAD: 0.9866071428571429,
         }
 
     def test_invalid_grid_point_rejected(self):
