@@ -10,7 +10,6 @@ from .summaries import (
     decide,
     hdi,
     pair_summary,
-    pair_win_draws,
     posterior_predictive_check,
     rank_models,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "hdi",
     "PairSummary",
     "pair_summary",
-    "pair_win_draws",
     "Decision",
     "decide",
     "RankingResult",

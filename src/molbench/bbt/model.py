@@ -103,9 +103,6 @@ class AbilityPosterior:
     def n_draws(self) -> int:
         return self.beta_draws.shape[0]
 
-    def index(self, model: str) -> int:
-        return self.models.index(model)
-
 
 class _Likelihood:
     """Binomial log-likelihood of a win table for a (chains, M) batch of abilities."""

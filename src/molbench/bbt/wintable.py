@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DataError
-from ..harness.scores import BEST_HEAD, ScoreTable
+from ..harness.scores import BEST_HEAD, ScoreTable, pairwise_outcomes
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,8 @@ def build_win_table(
     epsilon_tie: float = 0.01,
     head: str = BEST_HEAD,
 ) -> WinTable:
-    """Per dataset and pair: within epsilon is a tie, else the higher wins.
+    """Per dataset and pair: wins as ``pairwise_outcomes`` decides them, and
+    half of each tie to both models.
 
     Datasets where either model lacks a score are excluded for that pair;
     a pair with no shared dataset at all is an error.
@@ -57,21 +58,12 @@ def build_win_table(
     models, _, values = scores.matrix(head)
     if len(models) < 2:
         raise DataError(f"need at least 2 models, got {len(models)}")
-    m = len(models)
-    wins = np.zeros((m, m), dtype=np.float64)
-    for i in range(m):
-        for j in range(i + 1, m):
-            shared = ~(np.isnan(values[i]) | np.isnan(values[j]))
-            if not shared.any():
-                raise DataError(
-                    f"models {models[i]!r} and {models[j]!r} share no datasets"
-                )
-            diff = values[i, shared] - values[j, shared]
-            ties = np.abs(diff) < epsilon_tie
-            n_ties = float(ties.sum())
-            wins[i, j] = float(np.sum(diff[~ties] > 0)) + 0.5 * n_ties
-            wins[j, i] = float(np.sum(diff[~ties] < 0)) + 0.5 * n_ties
-    return WinTable(tuple(models), wins)
+    wins, ties, shared = pairwise_outcomes(values, epsilon_tie)
+    disjoint = np.argwhere(np.triu(shared == 0, 1))
+    if len(disjoint):
+        i, j = disjoint[0]
+        raise DataError(f"models {models[i]!r} and {models[j]!r} share no datasets")
+    return WinTable(tuple(models), wins + 0.5 * ties)
 
 
 def simulate_win_table(
@@ -85,11 +77,10 @@ def simulate_win_table(
     m = len(models)
     if beta.shape != (m,):
         raise ValueError(f"beta must have shape ({m},), got {beta.shape}")
+    first, second = np.triu_indices(m, 1)
+    pi = 1.0 / (1.0 + np.exp(-(beta[first] - beta[second])))
+    won = rng.binomial(n_comparisons, pi)
     wins = np.zeros((m, m), dtype=np.float64)
-    for i in range(m):
-        for j in range(i + 1, m):
-            pi = 1.0 / (1.0 + np.exp(-(beta[i] - beta[j])))
-            w = int(rng.binomial(n_comparisons, pi))
-            wins[i, j] = w
-            wins[j, i] = n_comparisons - w
+    wins[first, second] = won
+    wins[second, first] = n_comparisons - won
     return WinTable(tuple(models), wins)

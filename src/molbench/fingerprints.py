@@ -260,15 +260,3 @@ class TopologicalTorsionFingerprint(_FingerprintTransformer):
             "topological_torsion", length=self.length, counted=self.counted
         )
 
-
-TRANSFORMERS = {
-    "ecfp": EcfpFingerprint,
-    "atom_pair": AtomPairFingerprint,
-    "topological_torsion": TopologicalTorsionFingerprint,
-}
-
-
-def transformer_from_config(cfg: FingerprintConfig) -> _FingerprintTransformer:
-    if cfg.kind == "ecfp":
-        return EcfpFingerprint(radius=cfg.radius, length=cfg.length, counted=cfg.counted)
-    return TRANSFORMERS[cfg.kind](length=cfg.length, counted=cfg.counted)

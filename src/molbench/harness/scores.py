@@ -107,3 +107,19 @@ class ScoreTable:
                     ) from None
                 table.add(ScoreRecord(row[0], row[1], row[2], value))
         return table
+
+
+def pairwise_outcomes(
+    values: np.ndarray, epsilon: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one tie rule: for each ordered pair of rows of a (model, dataset)
+    matrix such as ``ScoreTable.matrix`` returns, the datasets where row i
+    beat row j, the ties, and the datasets both score (no NaN). |diff| <
+    epsilon is a tie and any other positive difference a win; the diagonal
+    is zero."""
+    diff = values[:, None, :] - values[None, :, :]
+    diagonal = np.arange(len(values))
+    diff[diagonal, diagonal] = np.nan  # a model is not compared with itself
+    ties = np.abs(diff) < epsilon
+    wins = ((diff > 0) & ~ties).sum(axis=2)
+    return wins, ties.sum(axis=2), (~np.isnan(diff)).sum(axis=2)

@@ -25,7 +25,6 @@ from .bbt import (
     BBTConfig,
     build_win_table,
     decide,
-    pair_summary,
     posterior_predictive_check,
     rank_models,
     sample_posterior,
@@ -395,29 +394,25 @@ def write_comparison_outputs(
     out_dir.mkdir(parents=True, exist_ok=True)
     table = build_win_table(scores, bbt_config.epsilon_tie)
     posterior = sample_posterior(table, bbt_config)
-
+    ranking = rank_models(posterior, bbt_config)
     with open(out_dir / "pairwise_summary.csv", "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(
             ["pair", "mean", "hdi_low", "hdi_high", "p_in_rope", "p_above_half", "decision"]
         )
-        m = len(table.models)
-        for i in range(m):
-            for j in range(i + 1, m):
-                summary = pair_summary(posterior, i, j, bbt_config)
-                writer.writerow(
-                    [
-                        f"{table.models[i]}>{table.models[j]}",
-                        f"{summary.mean:.6f}",
-                        f"{summary.hdi_low:.6f}",
-                        f"{summary.hdi_high:.6f}",
-                        f"{summary.p_in_rope:.6f}",
-                        f"{summary.p_above_half:.6f}",
-                        decide(summary, bbt_config).value,
-                    ]
-                )
+        for summary in ranking.pairs:
+            writer.writerow(
+                [
+                    f"{summary.model_i}>{summary.model_j}",
+                    f"{summary.mean:.6f}",
+                    f"{summary.hdi_low:.6f}",
+                    f"{summary.hdi_high:.6f}",
+                    f"{summary.p_in_rope:.6f}",
+                    f"{summary.p_above_half:.6f}",
+                    decide(summary, bbt_config).value,
+                ]
+            )
 
-    ranking = rank_models(posterior, bbt_config)
     ppc = posterior_predictive_check(posterior, table, seed=bbt_config.seed)
     payload = {
         "ranking": list(ranking.order),
@@ -447,15 +442,12 @@ def write_report_outputs(
     *,
     baseline: str,
     near_win_epsilon: float = 0.01,
-    epsilon: float = 0.01,
 ) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_aggregate_csv(out_dir / "aggregate_report.csv", aggregate_report(scores))
-    write_win_matrix_csv(out_dir / "win_matrix.csv", win_matrix(scores, epsilon))
-    comparison = baseline_comparison(
-        scores, baseline, near_win_epsilon=near_win_epsilon, epsilon=epsilon
-    )
+    write_win_matrix_csv(out_dir / "win_matrix.csv", win_matrix(scores))
+    comparison = baseline_comparison(scores, baseline, near_win_epsilon=near_win_epsilon)
     write_baseline_csv(out_dir / "baseline_per_dataset.csv", comparison)
     write_near_win_csv(out_dir / "win_near_win.csv", comparison)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DataError
 from .harness.metrics import average_ranks
-from .harness.scores import BEST_HEAD, ScoreTable
+from .harness.scores import BEST_HEAD, ScoreTable, pairwise_outcomes
 
 
 def _complete_matrix(scores: ScoreTable, head: str) -> tuple[list[str], list[str], np.ndarray]:
@@ -57,7 +57,7 @@ def aggregate_report(scores: ScoreTable, head: str = BEST_HEAD) -> list[Aggregat
 @dataclass(frozen=True)
 class WinMatrixResult:
     models: tuple[str, ...]
-    win_fraction: np.ndarray  # (i, j): share of datasets i beat j by > epsilon
+    win_fraction: np.ndarray  # (i, j): share of datasets i beat j by at least epsilon
     tie_fraction: np.ndarray
 
     def __post_init__(self):
@@ -67,20 +67,11 @@ class WinMatrixResult:
 
 
 def win_matrix(scores: ScoreTable, epsilon: float = 0.01, head: str = BEST_HEAD) -> WinMatrixResult:
-    """Pairwise win fractions; differences within epsilon count as ties."""
+    """Pairwise win and tie fractions under the ranking's tie rule
+    (``pairwise_outcomes``): |diff| < epsilon is a tie, else the higher wins."""
     models, datasets, matrix = _complete_matrix(scores, head)
-    m = len(models)
-    wins = np.zeros((m, m))
-    ties = np.zeros((m, m))
-    n = len(datasets)
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            diff = matrix[i] - matrix[j]
-            wins[i, j] = float(np.sum(diff > epsilon)) / n
-            ties[i, j] = float(np.sum(np.abs(diff) <= epsilon)) / n
-    return WinMatrixResult(tuple(models), wins, ties)
+    wins, ties, _ = pairwise_outcomes(matrix, epsilon)
+    return WinMatrixResult(tuple(models), wins / len(datasets), ties / len(datasets))
 
 
 @dataclass(frozen=True)
@@ -103,26 +94,21 @@ def baseline_comparison(
     models, datasets, matrix = _complete_matrix(scores, head)
     if baseline not in models:
         raise DataError(f"baseline {baseline!r} missing from the score table")
-    base_row = matrix[models.index(baseline)]
-    others = [i for i, m in enumerate(models) if m != baseline]
-
-    per_dataset = {}
-    for d, dataset in enumerate(datasets):
-        if others:
-            strict = float(np.mean(matrix[others, d] > base_row[d]))
-            beyond = float(np.mean(matrix[others, d] > base_row[d] + epsilon))
-        else:
-            strict = beyond = 0.0
-        per_dataset[dataset] = (strict, beyond)
-
-    win_or_near = {model: 0 for model in models}
-    for d in range(len(datasets)):
-        top = float(matrix[:, d].max())
-        for i, model in enumerate(models):
-            if matrix[i, d] >= top - near_win_epsilon:
-                win_or_near[model] += 1
+    b = models.index(baseline)
+    base_row, others = matrix[b], np.delete(matrix, b, axis=0)
+    if len(others):
+        strict = np.mean(others > base_row, axis=0)
+        beyond = np.mean(others > base_row + epsilon, axis=0)
+    else:
+        strict = beyond = np.zeros(len(datasets))
+    per_dataset = {
+        dataset: (float(strict[d]), float(beyond[d])) for d, dataset in enumerate(datasets)
+    }
+    near_wins = np.sum(matrix >= matrix.max(axis=0) - near_win_epsilon, axis=1)
     return BaselineComparison(
-        baseline=baseline, per_dataset=per_dataset, win_or_near_win=win_or_near
+        baseline=baseline,
+        per_dataset=per_dataset,
+        win_or_near_win={model: int(n) for model, n in zip(models, near_wins)},
     )
 
 
