@@ -145,6 +145,9 @@ def rank_models(
     )
 
 
+_FLAG_BELOW, _FLAG_ABOVE = 0.05, 0.95  # PPC p-values outside flag a pair
+
+
 @dataclass(frozen=True)
 class PpcResult:
     """Bayesian p-values per pair; extreme values flag model misfit."""
@@ -162,14 +165,13 @@ def posterior_predictive_check(
     posterior: AbilityPosterior,
     table: WinTable,
     seed: int = 0,
-    flag_below: float = 0.05,
-    flag_above: float = 0.95,
 ) -> PpcResult:
     """Simulate replicate win counts per draw and compare with observations.
 
     Fractional tie-spread counts are rounded half-up to integers for the
     binomial replicates; the p-value is the fraction of replicates at or
-    above the observed count. Pairs i < j with no comparisons are skipped.
+    above the observed count, and one below 0.05 or above 0.95 flags the
+    pair. Pairs i < j with no comparisons are skipped.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     first, second = np.triu_indices(table.n_models, 1)
@@ -181,6 +183,6 @@ def posterior_predictive_check(
     for rows, pi in _win_probability_blocks(posterior, first, second):
         replicates = rng.binomial(trials[rows, None], pi)
         p_values[rows] = np.mean(replicates >= observed[rows, None], axis=1)
-    flagged = (p_values < flag_below) | (p_values > flag_above)
+    flagged = (p_values < _FLAG_BELOW) | (p_values > _FLAG_ABOVE)
     pairs = tuple((table.models[i], table.models[j]) for i, j in zip(first, second))
     return PpcResult(pairs=pairs, p_values=p_values, flagged=flagged)

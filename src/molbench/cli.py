@@ -150,14 +150,15 @@ def _cmd_report(args) -> int:
         config = load_config(args.config)
         baseline = config.baseline
         near_win = config.near_win_epsilon
+        epsilon_tie = config.bbt.epsilon_tie
     else:
         baseline = args.baseline
         near_win = args.near_win_epsilon
+        epsilon_tie = BBTConfig().epsilon_tie  # as compare without --config
     if baseline is None:
         raise ConfigError("report needs --config or --baseline")
-    write_report_outputs(
-        scores, args.output_dir, baseline=baseline, near_win_epsilon=near_win
-    )
+    write_report_outputs(scores, args.output_dir, baseline=baseline,
+                         near_win_epsilon=near_win, epsilon_tie=epsilon_tie)
     print(f"wrote report tables to {args.output_dir}")
     return EXIT_OK
 

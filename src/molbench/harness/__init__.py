@@ -11,7 +11,6 @@ from .datasets import (
 from .evaluate import (
     ClassifierSpec,
     default_specs,
-    make_head,
     stratified_folds,
     tune_and_evaluate,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "logistic_loss_and_grad",
     "ClassifierSpec",
     "default_specs",
-    "make_head",
     "stratified_folds",
     "tune_and_evaluate",
     "ScoreRecord",

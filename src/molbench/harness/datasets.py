@@ -148,7 +148,6 @@ def load_dataset(
 class EmbeddingTable:
     """Frozen vectors for one model over one dataset's molecules."""
 
-    model_name: str
     vectors: np.ndarray
 
     def __post_init__(self):
@@ -164,7 +163,6 @@ class EmbeddingTable:
 def load_embeddings(
     path: Union[str, Path],
     *,
-    model_name: Optional[str] = None,
     expected_rows: Optional[int] = None,
 ) -> EmbeddingTable:
     """Load a vector table from EMB1 binary or numeric CSV."""
@@ -175,7 +173,7 @@ def load_embeddings(
             vectors = _read_binary_embeddings(handle, path)
         else:
             vectors = _read_csv_embeddings(path)
-    table = EmbeddingTable(model_name=model_name or path.stem, vectors=vectors)
+    table = EmbeddingTable(vectors)
     if expected_rows is not None and table.vectors.shape[0] != expected_rows:
         raise DataError(
             f"{path}: {table.vectors.shape[0]} embedding rows but dataset has "
@@ -241,13 +239,13 @@ def write_embeddings(path: Union[str, Path], vectors: np.ndarray) -> None:
         handle.write(np.ascontiguousarray(vectors, dtype="<f4").tobytes())
 
 
-def write_matrix_csv(path: Union[str, Path], matrix: np.ndarray, prefix: str = "f") -> None:
+def write_matrix_csv(path: Union[str, Path], matrix: np.ndarray) -> None:
     """Write a feature matrix as CSV with columns f0..f{n-1}."""
     matrix = np.asarray(matrix)
     integral = np.issubdtype(matrix.dtype, np.integer)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow([f"{prefix}{i}" for i in range(matrix.shape[1])])
+        writer.writerow([f"f{i}" for i in range(matrix.shape[1])])
         for row in matrix:
             if integral:
                 writer.writerow([int(v) for v in row])

@@ -1,16 +1,18 @@
 """Hyperparameter grids, cross-validated tuning, and test scoring.
 
-Grid selection runs 5-fold stratified cross-validation on the train side of
-the scaffold split, scored by mean AUROC over folds and tasks; the winning
-grid point (ties: first in grid order) is refit on the full train side. The
-reported score per head is the test AUROC averaged over tasks where it is
-defined, and "best" is the maximum over the three heads.
+A cell is scored on one fold plan, built before any head runs: per task, the
+5-fold stratified (fit, validation) pairs of its train rows and its (train,
+test) pair. One grid scorer fits every head and one reduction averages AUROC
+over each task's pairs, then over tasks. Tuning applies them to a head's
+grid on the CV pairs; the winning value (ties: first in grid order) is
+scored the same way on the (train, test) pairs. "best" is the maximum test
+AUROC over the three heads.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,8 +39,11 @@ class DatasetSkipped(DataError):
 
 @dataclass(frozen=True)
 class ClassifierSpec:
+    """A head and the values of its one tuned parameter: ``n_neighbors``
+    (knn), ``reg_strength`` (logreg) or ``min_samples_split`` (forest)."""
+
     head: str
-    grid: tuple[dict, ...]
+    grid: tuple
     seed: int = 0
 
     def __post_init__(self):
@@ -50,26 +55,10 @@ class ClassifierSpec:
 
 def default_specs(seed: int = 0) -> tuple[ClassifierSpec, ...]:
     return (
-        ClassifierSpec(
-            "knn", tuple({"n_neighbors": k} for k in KNN_GRID), seed
-        ),
-        ClassifierSpec(
-            "logreg", tuple({"reg_strength": lam} for lam in LOGREG_GRID), seed
-        ),
-        ClassifierSpec(
-            "random_forest",
-            tuple({"min_samples_split": m} for m in FOREST_GRID),
-            seed,
-        ),
+        ClassifierSpec("knn", KNN_GRID, seed),
+        ClassifierSpec("logreg", LOGREG_GRID, seed),
+        ClassifierSpec("random_forest", FOREST_GRID, seed),
     )
-
-
-def make_head(spec: ClassifierSpec, params: dict):
-    if spec.head == "knn":
-        return KNeighborsHead(**params)
-    if spec.head == "logreg":
-        return LogisticRegressionHead(**params)
-    return RandomForestHead(n_estimators=N_TREES, seed=spec.seed, **params)
 
 
 def stratified_folds(y: np.ndarray, n_folds: int) -> list[np.ndarray]:
@@ -81,57 +70,69 @@ def stratified_folds(y: np.ndarray, n_folds: int) -> list[np.ndarray]:
     return [np.flatnonzero(assignment == f) for f in range(n_folds)]
 
 
-def _task_rows(labels: np.ndarray, indices: np.ndarray, task: int) -> np.ndarray:
-    rows = indices[~np.isnan(labels[indices, task])]
-    return rows
+def _both_classes(y: np.ndarray) -> bool:
+    return len(np.unique(y)) == 2
 
 
-def _grid_scores(spec: ClassifierSpec, X_fit, y_fit, X_eval) -> list[np.ndarray]:
-    """Positive-class scores on X_eval for every grid point, in grid order.
+def _fold_plan(labels: np.ndarray, split: Split) -> tuple[list, list]:
+    """Per task, lists of (fit rows, evaluation rows): the CV pairs with both
+    classes on both sides (none below N_FOLDS labelled train rows), and the
+    (train, test) pair if both split sides hold both classes."""
+    train_idx = np.asarray(split.train_idx, dtype=np.int64)
+    test_idx = np.asarray(split.test_idx, dtype=np.int64)
+    cv_pairs, test_pairs = [], []
+    for column in labels.T:
+        train = train_idx[~np.isnan(column[train_idx])]
+        test = test_idx[~np.isnan(column[test_idx])]
+        folds = stratified_folds(column[train], N_FOLDS) if len(train) >= N_FOLDS else []
+        pairs = [(np.delete(train, fold), train[fold]) for fold in folds]
+        cv_pairs.append([p for p in pairs if all(_both_classes(column[r]) for r in p)])
+        evaluable = _both_classes(column[train]) and _both_classes(column[test])
+        test_pairs.append([(train, test)] if evaluable else [])
+    return cv_pairs, test_pairs
+
+
+def _grid_scores(spec: ClassifierSpec, grid, X_fit, y_fit, X_eval) -> list[np.ndarray]:
+    """Positive-class scores on X_eval for every value of ``grid``, in order.
 
     The forest is grown once at the smallest ``min_samples_split`` and cut
     back for the larger ones, and kNN ranks the neighbors once for the
-    largest k; both equal a separate fit per grid point. Logreg fits once
-    per grid point.
+    largest k; both equal a separate fit per grid value. Logreg fits once
+    per grid value.
     """
     if spec.head == "random_forest":
-        splits = [params["min_samples_split"] for params in spec.grid]
-        forest = make_head(spec, {"min_samples_split": min(splits)}).fit(X_fit, y_fit)
-        return [forest.predict_proba(X_eval, m)[:, 1] for m in splits]
+        forest = RandomForestHead(min(grid), N_TREES, spec.seed).fit(X_fit, y_fit)
+        return [forest.predict_proba(X_eval, m)[:, 1] for m in grid]
     if spec.head == "knn":
-        ks = [params["n_neighbors"] for params in spec.grid]
-        if min(ks) < 1:  # the fit below checks only the largest k
-            raise ValueError(f"n_neighbors must be >= 1, got {min(ks)}")
-        knn = make_head(spec, {"n_neighbors": max(ks)}).fit(X_fit, y_fit)
-        neighbors = knn.neighbor_labels(X_eval)
-        return [neighbors[:, :k].mean(axis=1) for k in ks]
+        if min(grid) < 1:  # the fit below checks only the largest k
+            raise ValueError(f"n_neighbors must be >= 1, got {min(grid)}")
+        neighbors = KNeighborsHead(max(grid)).fit(X_fit, y_fit).neighbor_labels(X_eval)
+        return [neighbors[:, :k].mean(axis=1) for k in grid]
     return [
-        make_head(spec, params).fit(X_fit, y_fit).predict_proba(X_eval)[:, 1]
-        for params in spec.grid
+        LogisticRegressionHead(lam).fit(X_fit, y_fit).predict_proba(X_eval)[:, 1]
+        for lam in grid
     ]
 
 
-def _cv_scores(spec: ClassifierSpec, features, labels, train_idx) -> list[float]:
-    """Mean AUROC over folds and tasks for every grid point, in grid order."""
-    per_task: list[list[float]] = [[] for _ in spec.grid]
-    for task in range(labels.shape[1]):
-        rows = _task_rows(labels, train_idx, task)
-        if len(rows) < N_FOLDS:
-            continue
-        y = labels[rows, task]
-        fold_scores: list[list[float]] = [[] for _ in spec.grid]
-        for fold in stratified_folds(y, N_FOLDS):
-            fit_mask = np.ones(len(rows), dtype=bool)
-            fit_mask[fold] = False
-            y_fit, y_val = y[fit_mask], y[fold]
-            if len(np.unique(y_fit)) < 2 or len(np.unique(y_val)) < 2:
-                continue
-            grid_scores = _grid_scores(
-                spec, features[rows[fit_mask]], y_fit, features[rows[fold]]
+def _mean_auroc(spec: ClassifierSpec, grid, features, labels, plan) -> list[float]:
+    """Mean over tasks of each task's mean AUROC over its pairs, per grid
+    value; tasks without pairs take no part (NaN when no task has any)."""
+    per_task: list[list[float]] = [[] for _ in grid]
+    for task, pairs in enumerate(plan):
+        pair_scores: list[list[float]] = [[] for _ in grid]
+        for fit, held in pairs:
+            # float rows from the start: an integer copy (fingerprint counts)
+            # would stay alive next to the heads' float copy through the fit
+            predicted = _grid_scores(
+                spec,
+                grid,
+                np.asarray(features[fit], np.float64),
+                labels[fit, task],
+                np.asarray(features[held], np.float64),
             )
-            for scores, predicted in zip(fold_scores, grid_scores):
-                scores.append(auroc(predicted, y_val))
-        for task_means, scores in zip(per_task, fold_scores):
+            for scores, values in zip(pair_scores, predicted):
+                scores.append(auroc(values, labels[held, task]))
+        for task_means, scores in zip(per_task, pair_scores):
             if scores:
                 task_means.append(float(np.mean(scores)))
     return [float(np.mean(means)) if means else float("nan") for means in per_task]
@@ -146,8 +147,8 @@ def tune_and_evaluate(
 ) -> list[ScoreRecord]:
     """Tune each head on the train side, score on the test side.
 
-    Returns one record per head plus the "best" record. Raises DataError if
-    no task has both classes represented on the test side.
+    Returns one record per head plus the "best" record. Raises DatasetSkipped
+    (a DataError) if no task has both classes on both split sides.
     """
     if features.shape[0] != dataset.n_molecules:
         raise DataError(
@@ -155,25 +156,14 @@ def tune_and_evaluate(
             f"{features.shape[0]} rows for {dataset.n_molecules} molecules"
         )
     specs = tuple(specs) if specs is not None else default_specs()
-    train_idx = np.asarray(split.train_idx, dtype=np.int64)
-    test_idx = np.asarray(split.test_idx, dtype=np.int64)
     labels = dataset.labels
-
-    evaluable = []
-    for task in range(labels.shape[1]):
-        test_rows = _task_rows(labels, test_idx, task)
-        train_rows = _task_rows(labels, train_idx, task)
-        if (
-            len(np.unique(labels[test_rows, task])) == 2
-            and len(np.unique(labels[train_rows, task])) == 2
-        ):
-            evaluable.append(task)
-    if not evaluable:
+    cv_pairs, test_pairs = _fold_plan(labels, split)
+    skipped = sum(not pairs for pairs in test_pairs)
+    if skipped == len(test_pairs):
         raise DatasetSkipped(
             f"{model_name}/{dataset.name}: no task has both classes in both "
             "split sides; dataset skipped"
         )
-    skipped = labels.shape[1] - len(evaluable)
     if skipped:
         logger.info(
             "%s/%s: %d task(s) excluded (single-class side)",
@@ -184,27 +174,13 @@ def tune_and_evaluate(
 
     records = []
     for spec in specs:
-        best_params, best_cv = spec.grid[0], -np.inf
-        for params, value in zip(spec.grid, _cv_scores(spec, features, labels, train_idx)):
-            if value > best_cv:  # NaN never wins; ties keep the earlier point
-                best_params, best_cv = params, value
-
-        # evaluable tasks have both classes on both sides, so AUROC is defined
-        task_scores = []
-        for task in evaluable:
-            fit_rows = _task_rows(labels, train_idx, task)
-            eval_rows = _task_rows(labels, test_idx, task)
-            head = make_head(spec, best_params).fit(
-                features[fit_rows], labels[fit_rows, task]
-            )
-            task_scores.append(
-                auroc(head.predict_proba(features[eval_rows])[:, 1], labels[eval_rows, task])
-            )
-        records.append(
-            ScoreRecord(
-                model_name, dataset.name, spec.head, float(np.mean(task_scores))
-            )
-        )
+        best_value, best_cv = spec.grid[0], -np.inf
+        cv_scores = _mean_auroc(spec, spec.grid, features, labels, cv_pairs)
+        for value, cv in zip(spec.grid, cv_scores):
+            if cv > best_cv:  # NaN never wins; ties keep the earlier value
+                best_value, best_cv = value, cv
+        (test_auroc,) = _mean_auroc(spec, (best_value,), features, labels, test_pairs)
+        records.append(ScoreRecord(model_name, dataset.name, spec.head, test_auroc))
 
     best = max(records, key=lambda r: r.auroc)
     records.append(ScoreRecord(model_name, dataset.name, BEST_HEAD, best.auroc))

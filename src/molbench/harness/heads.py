@@ -160,13 +160,15 @@ def _lbfgs_minimize(fun, x0, *, tol: float, max_iter: int, memory: int = 10):
     return x, history
 
 
+_LOGREG_TOL = 1e-6  # L-BFGS stops at this gradient norm ...
+_LOGREG_MAX_ITER = 10_000  # ... or after this many iterations
+
+
 class LogisticRegressionHead(ParamsMixin):
     """L2-penalized logistic regression on internally standardized features."""
 
-    def __init__(self, reg_strength: float = 1.0, tol: float = 1e-6, max_iter: int = 10_000):
+    def __init__(self, reg_strength: float = 1.0):
         self.reg_strength = reg_strength
-        self.tol = tol
-        self.max_iter = max_iter
         self._theta = None
         self._mean = None
         self._scale = None
@@ -186,8 +188,8 @@ class LogisticRegressionHead(ParamsMixin):
         theta, history = _lbfgs_minimize(
             lambda t: logistic_loss_and_grad(t, Xs, y, self.reg_strength),
             theta0,
-            tol=self.tol,
-            max_iter=self.max_iter,
+            tol=_LOGREG_TOL,
+            max_iter=_LOGREG_MAX_ITER,
         )
         self._theta = theta
         self.loss_history_ = history

@@ -115,11 +115,11 @@ def pairwise_outcomes(
     """The one tie rule: for each ordered pair of rows of a (model, dataset)
     matrix such as ``ScoreTable.matrix`` returns, the datasets where row i
     beat row j, the ties, and the datasets both score (no NaN). |diff| <
-    epsilon is a tie and any other positive difference a win; the diagonal
-    is zero."""
+    epsilon is a tie, and so is diff == 0 at epsilon 0; any other positive
+    difference is a win. The diagonal is zero."""
     diff = values[:, None, :] - values[None, :, :]
     diagonal = np.arange(len(values))
     diff[diagonal, diagonal] = np.nan  # a model is not compared with itself
-    ties = np.abs(diff) < epsilon
+    ties = (np.abs(diff) < epsilon) | (diff == 0)
     wins = ((diff > 0) & ~ties).sum(axis=2)
     return wins, ties.sum(axis=2), (~np.isnan(diff)).sum(axis=2)

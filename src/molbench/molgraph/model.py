@@ -94,13 +94,6 @@ class Bond:
     order: BondOrder
     in_ring: bool = False
 
-    def other(self, index: int) -> int:
-        if index == self.a1:
-            return self.a2
-        if index == self.a2:
-            return self.a1
-        raise ValueError(f"atom {index} is not an endpoint of this bond")
-
 
 class Molecule:
     """Immutable simple graph of heavy atoms.

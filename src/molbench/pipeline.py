@@ -294,7 +294,6 @@ def _evaluate_cell(
         else:
             features = load_embeddings(
                 rep.embedding_paths[entry.name],
-                model_name=rep.name,
                 expected_rows=dataset.n_molecules,
             ).vectors
         split = scaffold_split(dataset, config.frac_train)
@@ -442,11 +441,13 @@ def write_report_outputs(
     *,
     baseline: str,
     near_win_epsilon: float = 0.01,
+    epsilon_tie: float = 0.01,
 ) -> None:
+    """Write the four report tables; ``win_matrix.csv`` ties at ``epsilon_tie``."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_aggregate_csv(out_dir / "aggregate_report.csv", aggregate_report(scores))
-    write_win_matrix_csv(out_dir / "win_matrix.csv", win_matrix(scores))
+    write_win_matrix_csv(out_dir / "win_matrix.csv", win_matrix(scores, epsilon_tie))
     comparison = baseline_comparison(scores, baseline, near_win_epsilon=near_win_epsilon)
     write_baseline_csv(out_dir / "baseline_per_dataset.csv", comparison)
     write_near_win_csv(out_dir / "win_near_win.csv", comparison)
@@ -468,5 +469,6 @@ def run_pipeline(
         out_dir,
         baseline=config.baseline,
         near_win_epsilon=config.near_win_epsilon,
+        epsilon_tie=config.bbt.epsilon_tie,
     )
     return scores

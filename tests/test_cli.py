@@ -298,6 +298,31 @@ class TestReportCommand:
         ):
             assert (out_dir / name).exists()
 
+    def test_win_matrix_ties_at_the_config_epsilon(self, tmp_path):
+        from molbench.bbt import build_win_table
+
+        scores = ScoreTable([ScoreRecord("A", "d1", "best", 0.80),
+                             ScoreRecord("B", "d1", "best", 0.77)])
+        scores_path = tmp_path / "scores.csv"
+        scores.to_csv(scores_path)
+        config = _evaluate_config(scores_path, [("A", "ecfp"), ("B", "ecfp")])
+        config.update(baseline="A", bbt={"epsilon_tie": 0.05})
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        out_dir = tmp_path / "rep"
+        code = main(
+            [
+                "report",
+                "--scores", str(scores_path),
+                "--config", str(config_path),
+                "--output-dir", str(out_dir),
+            ]
+        )
+        assert code == EXIT_OK
+        rows = (out_dir / "win_matrix.csv").read_text().splitlines()[1:]
+        assert rows == ["A,B,0.000000,1.000000", "B,A,0.000000,1.000000"]
+        assert build_win_table(scores, 0.05).wins.tolist() == [[0.0, 0.5], [0.5, 0.0]]
+
     def test_needs_baseline(self, scores_csv, tmp_path):
         code = main(
             ["report", "--scores", str(scores_csv), "--output-dir", str(tmp_path / "o")]

@@ -1,5 +1,6 @@
 """Dataset ingestion, splits, AUROC, classifier heads, and tuning."""
 
+import dataclasses
 import hashlib
 import math
 
@@ -579,6 +580,24 @@ def _separable_setup(n_per_class=30):
     return _toy_dataset(smiles, labels)
 
 
+def _two_task_cell():
+    """Two tasks on a 24/8 scaffold split; the second has missing labels."""
+    ds = _separable_setup(12)
+    first = ds.labels[:, 0]
+    second = first.copy()
+    second[::5] = 1.0 - second[::5]
+    second[1::4] = np.nan
+    labels = np.column_stack([first, second])
+    two_task = Dataset("two", ds.smiles, labels, ["a", "b"], ds.molecules)
+    return two_task, scaffold_split(two_task, 0.6)
+
+
+def _small_specs(seed):
+    """Every head on a few values of its default grid."""
+    picks = {"knn": slice(1, 3), "logreg": slice(None, None, 3), "random_forest": slice(2)}
+    return [dataclasses.replace(s, grid=s.grid[picks[s.head]]) for s in default_specs(seed)]
+
+
 class TestTuneAndEvaluate:
     @pytest.fixture(scope="class")
     @staticmethod
@@ -589,11 +608,9 @@ class TestTuneAndEvaluate:
         features = EcfpFingerprint(length=256).transform(ds.molecules).astype(float)
         split = scaffold_split(ds, 0.6)
         specs = (
-            ClassifierSpec("knn", tuple({"n_neighbors": k} for k in (1, 3)), 0),
-            ClassifierSpec("logreg", tuple({"reg_strength": v} for v in (1.0, 100.0)), 0),
-            ClassifierSpec(
-                "random_forest", tuple({"min_samples_split": m} for m in (2,)), 0
-            ),
+            ClassifierSpec("knn", (1, 3), 0),
+            ClassifierSpec("logreg", (1.0, 100.0), 0),
+            ClassifierSpec("random_forest", (2,), 0),
         )
         return tune_and_evaluate(ds, features, split, "ecfp", specs=specs)
 
@@ -641,13 +658,55 @@ class TestTuneAndEvaluate:
             BEST_HEAD: 0.9866071428571429,
         }
 
+    @pytest.mark.parametrize(
+        "kind, expected",
+        [
+            ("fingerprint", {"knn": 0.9444444444444444, "logreg": 1.0,
+                             "random_forest": 0.9166666666666667, BEST_HEAD: 1.0}),
+            ("float", {"knn": 0.9097222222222222, "logreg": 0.9444444444444444,
+                       "random_forest": 0.9444444444444444, BEST_HEAD: 0.9444444444444444}),
+        ],
+    )
+    def test_two_task_cell_records_pinned(self, kind, expected, monkeypatch):
+        # pinned: how a cell is planned and scored must not move a record;
+        # integer counts take the binned forest search, floats the sorted one
+        from molbench.fingerprints import EcfpFingerprint
+        from molbench.harness import evaluate
+
+        monkeypatch.setattr(evaluate, "N_TREES", 25)
+        dataset, split = _two_task_cell()
+        if kind == "fingerprint":
+            features = EcfpFingerprint(length=256).transform(dataset.molecules)
+            assert features.dtype.kind == "i"
+        else:
+            features = np.random.default_rng(7).normal(size=(dataset.n_molecules, 6))
+            features[:, 0] += 1.5 * dataset.labels[:, 0]
+        records = tune_and_evaluate(dataset, features, split, kind, specs=_small_specs(3))
+        assert {r.head: r.auroc for r in records} == expected
+
+    def test_folds_built_once_per_task_per_cell(self, monkeypatch):
+        from molbench.harness import evaluate
+
+        calls = []
+
+        def spy(y, n_folds):
+            calls.append(len(y))
+            return stratified_folds(y, n_folds)
+
+        monkeypatch.setattr(evaluate, "N_TREES", 5)
+        monkeypatch.setattr(evaluate, "stratified_folds", spy)
+        dataset, split = _two_task_cell()
+        features = np.random.default_rng(0).normal(size=(dataset.n_molecules, 4))
+        tune_and_evaluate(dataset, features, split, "m", specs=_small_specs(0))
+        assert calls == [24, 18]  # each task's labelled train rows, once
+
     def test_invalid_grid_point_rejected(self):
         from molbench.fingerprints import EcfpFingerprint
 
         ds = _separable_setup(10)
         features = EcfpFingerprint(length=128).transform(ds.molecules).astype(float)
         split = scaffold_split(ds, 0.6)
-        specs = (ClassifierSpec("knn", ({"n_neighbors": 3}, {"n_neighbors": 0}), 0),)
+        specs = (ClassifierSpec("knn", (3, 0), 0),)
         with pytest.raises(ValueError, match="n_neighbors"):
             tune_and_evaluate(ds, features, split, "m", specs=specs)
 
@@ -662,7 +721,7 @@ class TestTuneAndEvaluate:
 
         features = EcfpFingerprint(length=128).transform(ds.molecules).astype(float)
         split = scaffold_split(two_task, 0.6)
-        specs = (ClassifierSpec("knn", ({"n_neighbors": 1},), 0),)
+        specs = (ClassifierSpec("knn", (1,), 0),)
         records = tune_and_evaluate(two_task, features, split, "m", specs=specs)
         assert all(0.0 <= r.auroc <= 1.0 for r in records)
 
@@ -675,7 +734,7 @@ class TestTuneAndEvaluate:
 
         features = EcfpFingerprint(length=128).transform(ds.molecules).astype(float)
         split = scaffold_split(skewed, 0.6)
-        specs = (ClassifierSpec("knn", ({"n_neighbors": 1},), 0),)
+        specs = (ClassifierSpec("knn", (1,), 0),)
         with pytest.raises(DataError, match="no task"):
             tune_and_evaluate(skewed, features, split, "m", specs=specs)
 

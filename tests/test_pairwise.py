@@ -64,7 +64,7 @@ def _loop_win_table(scores, epsilon):
         for j in range(i + 1, m):
             shared = ~(np.isnan(values[i]) | np.isnan(values[j]))
             diff = values[i, shared] - values[j, shared]
-            ties = np.abs(diff) < epsilon
+            ties = (np.abs(diff) < epsilon) | (diff == 0)
             n_ties = float(ties.sum())
             wins[i, j] = float(np.sum(diff[~ties] > 0)) + 0.5 * n_ties
             wins[j, i] = float(np.sum(diff[~ties] < 0)) + 0.5 * n_ties
@@ -80,7 +80,7 @@ def _loop_win_matrix(scores, epsilon):
             if i == j:
                 continue
             diff = values[i] - values[j]
-            tie = np.abs(diff) < epsilon
+            tie = (np.abs(diff) < epsilon) | (diff == 0)
             wins[i, j] = float(np.sum(diff[~tie] > 0)) / n
             ties[i, j] = float(np.sum(tie)) / n
     return wins, ties
@@ -168,6 +168,12 @@ def test_difference_of_exactly_epsilon_is_a_win_in_ranking_and_reports():
     assert table.wins.tolist() == [[0.0, 1.0], [0.0, 0.0]]
     assert report.win_fraction.tolist() == [[0.0, 1.0], [0.0, 0.0]]
     assert report.tie_fraction.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+
+
+def test_equal_scores_tie_at_zero_epsilon():
+    scores = _scores([("A", "d1", 0.7), ("B", "d1", 0.7)])
+    assert build_win_table(scores, 0.0).wins.tolist() == [[0.0, 0.5], [0.5, 0.0]]
+    assert win_matrix(scores, 0.0).tie_fraction.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
 
 @pytest.mark.parametrize("epsilon", [0.0, 0.01, 0.02, 0.05])

@@ -1,5 +1,6 @@
 """Config validation, cell caching, and pipeline determinism."""
 
+import hashlib
 import json
 import logging
 
@@ -13,6 +14,7 @@ from molbench.pipeline import (
     load_config,
     parse_config,
     run_evaluation,
+    run_pipeline,
     write_report_outputs,
 )
 
@@ -23,6 +25,15 @@ SMILES = (
     + [f"C1CCNCC1{'C' * (i % 3)}" for i in range(5)]
 )
 LABELS = [0] * 10 + [1] * 10 + [0] * 5 + [1] * 5
+
+# run_pipeline's outputs on the workspace config below
+GOLDEN_SHA256 = {
+    "scores.csv": "7f7a2dd649f521d9ae09b07663a2eb985e33eacde86d53324aa057b14adc3f17",
+    "aggregate_report.csv": "5c31604b5f47ef2900ef37bc39152a6983f2eddefd7de063ce555daea114a718",
+    "win_matrix.csv": "fc87f88adcc207095c9cfdcccae940a96c7c44118ada028d033331753c988989",
+    "baseline_per_dataset.csv": "008bd94570c70ae71b7db0a60824dc2158dab9d2d38278300e7d72dd45ae43d0",
+    "win_near_win.csv": "b5626f295e6cad9e2be58d58ee966eb429e1dbae9163016d2005c11de10997e5",
+}
 
 
 @pytest.fixture()
@@ -193,6 +204,18 @@ class TestEvaluationPipeline:
             "win_near_win.csv",
         ):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_outputs_match_golden_digests(self, workspace, tmp_path):
+        # a change that moves any of these files must update its digest here
+        # and give the reason in CHANGES.md
+        _, _, document = workspace
+        out = tmp_path / "golden"
+        run_pipeline(parse_config(document), out)
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in GOLDEN_SHA256
+        }
+        assert digests == GOLDEN_SHA256
 
     def test_missing_embedding_file_names_cell(self, workspace):
         tmp_path, _, document = workspace
