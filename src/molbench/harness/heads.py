@@ -3,15 +3,15 @@
 All three expose the fit / predict_proba estimator protocol and are fully
 deterministic: kNN breaks distance ties by training index, the logistic head
 uses a monotone quasi-Newton optimizer, and the forest draws its bootstrap
-from a per-tree seed stream and each node's candidate features from a stream
-keyed by (tree seed, node position), so results do not depend on scheduling
-or on where a tree stops growing.
+from a per-tree seed stream and each node's candidate features from a hash of
+a key fixed by (tree seed, path from the root), so results do not depend on
+scheduling or on where a tree stops growing.
 
 The forest grows all its trees together, level by level: each level draws
-the candidate features of every open node, finds all their best splits in
-batched array operations (a bincount over node, candidate and bin for
-integer counts, one segment-wise sort otherwise) and partitions all their
-rows at once. Only the per-node feature draw remains a Python loop.
+the candidate features of every open node in one vectorised step, finds all
+their best splits in batched array operations (a bincount over node,
+candidate and bin for integer counts, one segment-wise sort otherwise) and
+partitions all their rows at once.
 
 Two heads serve a whole hyperparameter grid from one fit: ``neighbor_labels``
 ranks the training rows once for the largest k, and a forest grown at a small
@@ -207,7 +207,7 @@ class LogisticRegressionHead(ParamsMixin):
 # Most cells one batched split search may cover: rows x candidates, and for the
 # binned search also nodes x candidates x bins. It bounds the search's
 # temporary arrays, whatever the number of trees grown together.
-_BATCH_CELLS = 1 << 14
+_BATCH_CELLS = 1 << 16
 
 
 class _Forest:
@@ -398,17 +398,68 @@ def _batches(sizes: np.ndarray, row_cells: int, node_cells: int):
         start = stop
 
 
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)  # splitmix64's counter step
+_SIDES = np.array([0x243F6A8885A308D3, 0x13198A2E03707344], dtype=np.uint64)
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """The splitmix64 finaliser: a bijection of uint64 arrays.
+
+    Array arithmetic wraps silently; numpy scalars would warn on overflow,
+    so callers pass arrays.
+    """
+    z = z ^ (z >> np.uint64(30))
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _child_keys(keys: np.ndarray) -> np.ndarray:
+    """The keys of each node's left and right child, node after node.
+
+    ``_mix`` is a bijection, so the two children of a node never share a key.
+    """
+    return _mix(keys[:, None] ^ _SIDES).ravel()
+
+
+def _draw_candidates(keys: np.ndarray, d: int, k: int) -> np.ndarray:
+    """k distinct features of range(d) for each node key, shape (keys, k).
+
+    Floyd's algorithm picks a uniform k-subset from the splitmix64 stream
+    seeded by the key (draw i hashes key + (i + 1) * golden). The subset
+    then goes in the order of a hash of (key, feature), a uniform order, so
+    that the first-candidate tie-break favours no feature index. A row
+    depends only on its key, never on the other keys drawn with it.
+    """
+    steps = np.arange(1, k + 1, dtype=np.uint64) * _GOLDEN
+    bounds = np.arange(d - k + 1, d + 1, dtype=np.uint64)
+    chosen = (_mix(keys[:, None] + steps) % bounds).astype(np.int64)
+    # draw i stands unless an earlier pick took it, and then d - k + i, which
+    # no earlier pick can be, stands for it; rows whose draws are distinct
+    # already hold their picks
+    ordered = np.sort(chosen, axis=1)
+    redo = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+    picks = chosen[redo]
+    for i in range(1, k):
+        picks[(picks[:, :i] == picks[:, i, None]).any(axis=1), i] = d - k + i
+    chosen[redo] = picks
+    order = np.argsort(_mix(keys[:, None] ^ chosen.astype(np.uint64)), axis=1)
+    return np.take_along_axis(chosen, order, axis=1)
+
+
 def _grow_forest(X, y, seeds, min_samples_split, n_features_node) -> _Forest:
     """Grow one tree per seed on a bootstrap of the rows of X, level by level.
 
-    Every level advances the open nodes of all trees together: one batched
-    split search over all of them, one partition of their rows. Each tree's
-    bootstrap comes from its seed; each node's candidate features come from
-    a stream keyed by the tree seed and the node's heap index (root 1,
-    children 2p and 2p+1, kept as exact Python ints at any depth). A node
-    therefore splits the same way whatever ``min_samples_split`` is, as long
-    as it has at least that many rows, so the forest grown at m is the forest
-    grown at 2 cut back at smaller nodes.
+    Every level advances the open nodes of all trees together: one candidate
+    draw, one batched split search over all of them, one partition of their
+    rows. Each tree's bootstrap comes from its seed. Each node carries a
+    64-bit key: the root's comes from the tree seed, a child's is a mix of
+    its parent's key and its side, so a key depends only on the tree seed and
+    the path from the root, at any depth. A node's candidate features come
+    from its key alone. A node therefore splits the same way whatever
+    ``min_samples_split`` is, as long as it has at least that many rows, so
+    the forest grown at m is the forest grown at 2 cut back at smaller nodes.
     """
     n, d = X.shape
     positive = y == 1.0
@@ -423,8 +474,7 @@ def _grow_forest(X, y, seeds, min_samples_split, n_features_node) -> _Forest:
 
     rows = np.concatenate([np.random.default_rng(s).integers(0, n, size=n) for s in seeds])
     sizes = np.full(len(seeds), n)
-    tree = np.arange(len(seeds))
-    heap = [1] * len(seeds)
+    keys = np.array([s.generate_state(1, np.uint64)[0] for s in seeds], dtype=np.uint64)
     levels = []
     n_nodes = 0
     while len(sizes):
@@ -437,13 +487,7 @@ def _grow_forest(X, y, seeds, min_samples_split, n_features_node) -> _Forest:
         open_nodes = np.flatnonzero(
             (sizes >= min_samples_split) & (n_pos > 0) & (n_pos < sizes)
         )
-        candidates = np.empty((len(open_nodes), n_features_node), dtype=np.int64)
-        for i, node in enumerate(open_nodes.tolist()):
-            seed = seeds[tree[node]]
-            node_rng = np.random.default_rng(
-                np.random.SeedSequence(seed.entropy, spawn_key=(*seed.spawn_key, heap[node]))
-            )
-            candidates[i] = node_rng.choice(d, size=n_features_node, replace=False)
+        candidates = _draw_candidates(keys[open_nodes], d, n_features_node)
         is_open = np.zeros(count, dtype=bool)
         is_open[open_nodes] = True
         open_rows = rows[is_open[owner]]
@@ -473,8 +517,7 @@ def _grow_forest(X, y, seeds, min_samples_split, n_features_node) -> _Forest:
         )
         rows = rows[np.argsort(child, kind="stable")]
         sizes = np.bincount(child, minlength=2 * len(splits))
-        tree = np.repeat(tree[splits], 2)
-        heap = [h for node in splits.tolist() for h in (2 * heap[node], 2 * heap[node] + 1)]
+        keys = _child_keys(keys[splits])
         n_nodes += count
     return _Forest(*(np.concatenate(column) for column in zip(*levels)), len(seeds))
 
@@ -483,16 +526,16 @@ class RandomForestHead(ParamsMixin):
     """Bootstrap forest of entropy-split trees over sqrt(d) feature draws.
 
     Every tree draws its bootstrap from its own seed stream, and every node
-    its candidate features from a stream keyed by (tree seed, node position),
-    so fits are bit-identical for a given seed no matter how trees are
-    scheduled: ``fit`` grows all trees together, one level at a time, and
-    gives the same forest a tree-by-tree grower would. A split minimises the
-    weighted child entropy; ties go to the first candidate, then the lowest
-    threshold. Because a node's split does not depend on ``min_samples_split``,
-    a forest fitted at m predicts, through ``predict_proba(X, m2)``, exactly
-    what a forest fitted at any m2 >= m predicts: traversal stops at nodes
-    with fewer than m2 rows. One fit at the smallest grid value thus serves a
-    whole ``min_samples_split`` grid.
+    its candidate features from a hash of its key, which the tree seed and
+    the node's path from the root fix, so fits are bit-identical for a given
+    seed no matter how trees are scheduled: ``fit`` grows all trees together,
+    one level at a time, and gives the same forest a tree-by-tree grower
+    would. A split minimises the weighted child entropy; ties go to the first
+    candidate, then the lowest threshold. Because a node's split does not
+    depend on ``min_samples_split``, a forest fitted at m predicts, through
+    ``predict_proba(X, m2)``, exactly what a forest fitted at any m2 >= m
+    predicts: traversal stops at nodes with fewer than m2 rows. One fit at
+    the smallest grid value thus serves a whole ``min_samples_split`` grid.
     """
 
     def __init__(self, min_samples_split: int = 2, n_estimators: int = 500, seed: int = 0):
@@ -512,6 +555,8 @@ class RandomForestHead(ParamsMixin):
         X, y = check_X_y(X, y)
         if X.shape[0] == 0:
             raise ValueError("empty training set")
+        if X.shape[1] == 0:
+            raise ValueError("X has no feature columns to split on")
         self._forest = _grow_forest(
             X,
             y,

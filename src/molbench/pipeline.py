@@ -53,7 +53,7 @@ from .reports import (
 logger = logging.getLogger(__name__)
 
 CONFIG_VERSION = 1
-_GRID_REVISION = 2  # bump to invalidate caches when grids/heads change
+_GRID_REVISION = 3  # bump to invalidate caches when grids/heads change
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from molbench.harness import (
     write_embeddings,
 )
 from molbench.harness.evaluate import FOREST_GRID, KNN_GRID, LOGREG_GRID
+from molbench.harness.heads import _child_keys, _draw_candidates
 from molbench.molgraph import parse_smiles
 
 
@@ -292,12 +293,36 @@ class TestLogisticHead:
         assert np.all(np.isfinite(head.predict_proba(X)))
 
 
+_MASK = (1 << 64) - 1
+
+
+def _mix_int(z):
+    """The splitmix64 finaliser on a Python int."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+def _reference_child_keys(key):
+    return _mix_int(key ^ 0x243F6A8885A308D3), _mix_int(key ^ 0x13198A2E03707344)
+
+
+def _reference_draw(key, d, k):
+    """One node's candidates: Floyd's algorithm draw by draw, in hash order."""
+    chosen = []
+    for i, j in enumerate(range(d - k, d)):
+        t = _mix_int((key + (i + 1) * 0x9E3779B97F4A7C15) & _MASK) % (j + 1)
+        chosen.append(j if t in chosen else t)
+    return sorted(chosen, key=lambda feature: _mix_int(key ^ feature))
+
+
 def _reference_forest_scores(X, y, test, seed, n_trees, min_samples_split):
     """Positive-class scores of a forest grown tree by tree, node by node.
 
     The depth-first grower the level-wise one replaced, kept as the
-    reference: the same bootstrap and per-node feature streams, the same
-    entropy arithmetic and tie-breaks (first candidate, then lowest threshold).
+    reference: the same bootstrap streams, node keys and candidate draws
+    (here on Python ints), the same entropy arithmetic and tie-breaks (first
+    candidate, then lowest threshold).
     """
 
     def entropy(pos, total):
@@ -341,23 +366,25 @@ def _reference_forest_scores(X, y, test, seed, n_trees, min_samples_split):
     total = np.zeros(len(test))
     for tree_seed in np.random.SeedSequence(seed).spawn(n_trees):
         nodes = {}
-        stack = [(1, np.random.default_rng(tree_seed).integers(0, n, size=n))]
+        root_key = int(tree_seed.generate_state(1, np.uint64)[0])
+        stack = [(1, root_key, np.random.default_rng(tree_seed).integers(0, n, size=n))]
         while stack:
-            heap, rows = stack.pop()
+            heap, key, rows = stack.pop()
             value = float(y[rows].mean())
             nodes[heap] = (value, None, None)
             if len(rows) < min_samples_split or value in (0.0, 1.0):
                 continue
-            node_seed = np.random.SeedSequence(
-                tree_seed.entropy, spawn_key=(*tree_seed.spawn_key, heap)
-            )
-            candidates = np.random.default_rng(node_seed).choice(d, size=k, replace=False)
+            candidates = _reference_draw(key, d, k)
             col, threshold, found = best_split(X[np.ix_(rows, candidates)], y[rows])
             if found:
-                feature = int(candidates[col])
+                feature = candidates[col]
                 nodes[heap] = (value, feature, threshold)
                 go_left = X[rows, feature] <= threshold
-                stack += [(2 * heap + 1, rows[~go_left]), (2 * heap, rows[go_left])]
+                left_key, right_key = _reference_child_keys(key)
+                stack += [
+                    (2 * heap + 1, right_key, rows[~go_left]),
+                    (2 * heap, left_key, rows[go_left]),
+                ]
         for i, x in enumerate(test):
             heap = 1
             while nodes[heap][1] is not None:
@@ -366,7 +393,72 @@ def _reference_forest_scores(X, y, test, seed, n_trees, min_samples_split):
     return total / n_trees
 
 
+class TestCandidateDraw:
+    KEYS = np.random.default_rng(0).bit_generator.random_raw(200)
+
+    @pytest.mark.parametrize(
+        "d, k", [(1, 1), (2, 1), (2, 2), (45, 6), (45, 45), (2048, 45), (2048, 2048)]
+    )
+    def test_k_distinct_features_in_range(self, d, k):
+        drawn = _draw_candidates(self.KEYS[:20], d, k)
+        assert drawn.shape == (20, k)
+        assert drawn.min() >= 0 and drawn.max() < d
+        assert all(len(set(row)) == k for row in drawn.tolist())
+
+    @pytest.mark.parametrize("d, k", [(2, 1), (45, 6), (2048, 45)])
+    def test_draw_depends_on_key_alone(self, d, k):
+        together = _draw_candidates(self.KEYS, d, k)
+        assert np.array_equal(_draw_candidates(self.KEYS, d, k), together)
+        alone = np.concatenate([_draw_candidates(self.KEYS[i : i + 1], d, k) for i in range(200)])
+        assert np.array_equal(alone, together)
+        shuffle = np.random.default_rng(1).permutation(200)
+        assert np.array_equal(_draw_candidates(self.KEYS[shuffle], d, k), together[shuffle])
+        reference = [_reference_draw(int(key), d, k) for key in self.KEYS]
+        assert together.tolist() == reference
+
+    def test_child_keys_differ_along_a_deep_path(self):
+        key, path = self.KEYS[:1], [int(self.KEYS[0])]
+        for side in np.random.default_rng(2).integers(0, 2, size=105):
+            left, right = _child_keys(key)
+            assert left != right
+            assert [int(left), int(right)] == list(_reference_child_keys(int(key[0])))
+            key = np.array([(left, right)[side]])
+            path.append(int(key[0]))
+        assert len(set(path)) == 106
+
+    @pytest.mark.parametrize("d, k", [(45, 6), (2048, 45)])
+    def test_every_feature_equally_likely(self, d, k):
+        # 20k consecutive keys: each feature's count of picks, and of first
+        # places (the tie-break), within 5 binomial standard deviations
+        drawn = _draw_candidates(np.arange(20_000, dtype=np.uint64), d, k)
+        for counts, p in (
+            (np.bincount(drawn.ravel(), minlength=d), k / d),
+            (np.bincount(drawn[:, 0], minlength=d), 1 / d),
+        ):
+            spread = 5 * math.sqrt(20_000 * p * (1 - p))
+            assert np.abs(counts - 20_000 * p).max() < spread
+
+    def test_fit_builds_no_stream_beyond_the_tree_seeds(self, monkeypatch):
+        built = []
+
+        class CountingSeedSequence(np.random.SeedSequence):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("spawn_key", ()))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
+        rng = np.random.default_rng(4)
+        X = rng.integers(0, 3, size=(40, 9)).astype(float)
+        y = (X[:, 0] + rng.normal(size=40) > 1).astype(float)
+        RandomForestHead(n_estimators=7, seed=3).fit(X, y)
+        assert built == [()] + [(t,) for t in range(7)]  # the seed and its spawn
+
+
 class TestForestHead:
+    def test_no_feature_columns_rejected(self):
+        with pytest.raises(ValueError, match="no feature columns"):
+            RandomForestHead(n_estimators=3).fit(np.empty((4, 0)), [0.0, 1.0, 0.0, 1.0])
+
     def test_constant_feature_scores_near_train_rate(self):
         y = np.array([0, 0, 0, 1, 1, 1, 1, 1], dtype=float)
         head = RandomForestHead(min_samples_split=2, n_estimators=500, seed=3).fit(
@@ -430,21 +522,21 @@ class TestForestHead:
             (
                 0.0,
                 (
-                    "7658f2738c0648151d0ae6b06e8dee168997989cbf2474b608fc15c88c05e55a",
-                    "d19371ddf150d362529490091a0027a527249afaa1e885365a1ffcab29cf89a5",
-                    "3fe1386f0b989699f4716b3491ae84acaf4214e6f7e981dda956ff79b1f386ce",
-                    "b54b4c71097e2d5dcfdbc09106eaabe4993f4f45cae1867335a997fbed174711",
-                    "67203df740321cb791c7201a060e6aa4365db1087a0719765ae51317c8510141",
+                    "d03599eac70e452d4220d9e00d8b373a047a7f978c2849f58654fb509b367742",
+                    "7a5310b1848d0d3faaa6293e1fe04e5aa36f4b91183ff9a93ba7a3dc12d4ade5",
+                    "31c4d6ca75f4fd0280f08454ef776260ca0186aa53ffbbd064eb71abce00cb9c",
+                    "f3fc811a739139d5a624b2badb6e30641542fcf066632ca3f54c44bab21c1360",
+                    "4eba4fdd5ed4fe90622a5713da91f1e503185c6d7366b243d1d8c7200c463bad",
                 ),
             ),
             (
                 0.3,
                 (
-                    "9c80af2656c5b7147aca2ff903addb343cf4df0aec88e60f8db05c482eb885cc",
-                    "ecf7a764903e644e36043f4259714f1f821f91e54ac08b22a7b267446c68de01",
-                    "1482c433dde60215203e034ab232ca0047a6933742f534a1bad4f2960492600f",
-                    "910f49140724c47cc03e20d28c1535f03b2de161813f73295d0e879aada02a64",
-                    "b0de2e13ea959d95144028f6a10b6b36e03d8fb2c2dc4dae2005bbccfa1bb9d6",
+                    "7c66a8248fb813d0be9c1ec482f78a7f70fd547795d8e52cc34d855d2a7bb494",
+                    "fa5f42ebca8d3c17c8c02b5747b92f70f67748b7bdf786bc866bd45b906fc9f3",
+                    "fa349de72a03d6c420113356a82a19bb69f6a96c080db1735db009b5342e0553",
+                    "5da39bb3792b43694c109f6832e1e386e4f6f05e2108a4ea6a487621caa1f7ef",
+                    "fa28f32edf4b9fda5aa092db42532c13551844cd85d9e2c00e1427438f4f470a",
                 ),
             ),
         ],
@@ -469,14 +561,15 @@ class TestForestHead:
         "mix, digest",
         [
             (0, "3a2644cb989c726a9991eab1d46981ce43394298f9ca0726687bdcf8910a8182"),
-            (337, "ae9916f90c440aada3356fefe4e9a1df54ec662bbe952ed69bd661a7859e4265"),
+            (337, "3ef40946752aa17f6536ef94eb6064c31a4092edc098971758830968621be8d1"),
         ],
         ids=["one-feature", "two-features"],
     )
     def test_deep_tree_pinned(self, mix, digest):
-        # alternating labels along a feature grow trees past depth 64, where
-        # heap indices (root 1, children 2p and 2p+1) outgrow int64; with a
-        # second, shuffled feature the deep nodes' feature draws pick the split
+        # alternating labels along a feature grow trees past depth 64, where a
+        # heap index (root 1, children 2p and 2p+1) would outgrow int64 but a
+        # node key stays 64 bits; with a second, shuffled feature the deep
+        # nodes' feature draws pick the split
         i = np.arange(1000)
         X = (i + 0.5)[:, None]
         if mix:
@@ -654,8 +747,8 @@ class TestTuneAndEvaluate:
         specs = [s for s in default_specs(0) if s.head == "random_forest"]
         records = tune_and_evaluate(ds, features, split, "ecfp", specs=specs)
         assert {r.head: r.auroc for r in records} == {
-            "random_forest": 0.9866071428571429,
-            BEST_HEAD: 0.9866071428571429,
+            "random_forest": 0.9955357142857143,
+            BEST_HEAD: 0.9955357142857143,
         }
 
     @pytest.mark.parametrize(
@@ -664,7 +757,7 @@ class TestTuneAndEvaluate:
             ("fingerprint", {"knn": 0.9444444444444444, "logreg": 1.0,
                              "random_forest": 0.9166666666666667, BEST_HEAD: 1.0}),
             ("float", {"knn": 0.9097222222222222, "logreg": 0.9444444444444444,
-                       "random_forest": 0.9444444444444444, BEST_HEAD: 0.9444444444444444}),
+                       "random_forest": 0.8611111111111112, BEST_HEAD: 0.9444444444444444}),
         ],
     )
     def test_two_task_cell_records_pinned(self, kind, expected, monkeypatch):
