@@ -17,14 +17,13 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .bbt import BBTConfig
 from .errors import ConfigError, ConvergenceError, DataError
-from .fingerprints import FingerprintConfig, compute_fingerprint
+from .fingerprints import KINDS, FingerprintConfig, featurize
 from .harness import ScoreTable, scaffold_split, write_embeddings, write_matrix_csv
 from .molgraph import SmilesParseError, parse_smiles
 from .pipeline import (
+    BenchmarkConfig,
     load_config,
     run_evaluation,
     write_comparison_outputs,
@@ -66,13 +65,13 @@ def _cmd_fingerprint(args) -> int:
     smiles = _read_smiles(Path(args.input), args.smiles_column)
     if not smiles:
         raise DataError(f"{args.input}: no SMILES found")
-    rows = []
+    molecules = []
     for i, text in enumerate(smiles):
         try:
-            rows.append(compute_fingerprint(parse_smiles(text), cfg))
+            molecules.append(parse_smiles(text))
         except (SmilesParseError, ValueError) as exc:
             raise DataError(f"{args.input} entry {i}: {exc}") from None
-    matrix = np.stack(rows)
+    matrix = featurize(molecules, cfg)
     output = Path(args.output)
     if output.suffix == ".emb":
         write_embeddings(output, matrix)
@@ -138,7 +137,7 @@ def _cmd_compare(args) -> int:
     if args.config:
         bbt_cfg = _load_config_with_overrides(args).bbt
     else:
-        bbt_cfg = BBTConfig(seed=args.seed if args.seed is not None else 0)
+        bbt_cfg = BBTConfig() if args.seed is None else BBTConfig(seed=args.seed)
     write_comparison_outputs(scores, bbt_cfg, args.output_dir)
     print(f"wrote pairwise_summary.csv and ranking.json to {args.output_dir}")
     return EXIT_OK
@@ -179,9 +178,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fingerprint", help="SMILES file -> fingerprint matrix")
     p.add_argument("--input", required=True)
     p.add_argument("--smiles-column", default=None, help="CSV column; omit for plain lines")
-    p.add_argument("--kind", default="ecfp", choices=("ecfp", "atom_pair", "topological_torsion"))
-    p.add_argument("--radius", type=int, default=2)
-    p.add_argument("--length", type=int, default=2048)
+    p.add_argument("--kind", default="ecfp", choices=KINDS)
+    p.add_argument("--radius", type=int, default=FingerprintConfig.radius)
+    p.add_argument("--length", type=int, default=FingerprintConfig.length)
     p.add_argument("--binary", action="store_true", help="presence bits instead of counts")
     p.add_argument("--output", required=True, help=".csv or packed .emb")
     p.set_defaults(func=_cmd_fingerprint)
@@ -189,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("split", help="dataset -> scaffold-grouped index lists")
     p.add_argument("--input", required=True)
     p.add_argument("--smiles-column", default=None)
-    p.add_argument("--frac-train", type=float, default=0.8)
+    p.add_argument("--frac-train", type=float, default=BenchmarkConfig.frac_train)
     p.add_argument("--output", required=True, help="JSON index lists")
     p.set_defaults(func=_cmd_split)
 
@@ -212,7 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--baseline", default=None)
-    p.add_argument("--near-win-epsilon", type=float, default=0.01)
+    p.add_argument(
+        "--near-win-epsilon", type=float, default=BenchmarkConfig.near_win_epsilon
+    )
     p.add_argument("--output-dir", required=True)
     p.set_defaults(func=_cmd_report)
     return parser

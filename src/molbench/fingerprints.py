@@ -4,18 +4,21 @@ All three enumerate typed subgraphs, hash them to 64-bit identifiers with a
 platform-stable mix, and fold the identifier multiset into a fixed-length
 vector by modulo. Count vectors record multiplicity; binary vectors record
 presence.
+
+A ``FingerprintConfig`` states one fingerprint (kind, radius, length,
+counted); ``compute_fingerprint`` builds one molecule's vector and
+``featurize`` the matrix of a molecule sequence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .base import ParamsMixin
 from .hashing import hash_ints
-from .molgraph import BondOrder, Molecule, parse_smiles, shortest_path_distances
+from .molgraph import BondOrder, Molecule, shortest_path_distances
 
 _TAG_ATOM_ENV = 11
 _TAG_ECFP = 12
@@ -199,64 +202,9 @@ def compute_fingerprint(mol: Molecule, cfg: FingerprintConfig) -> np.ndarray:
     return fold_identifiers(identifiers, cfg.length, cfg.counted)
 
 
-def _as_molecule(item: Union[str, Molecule]) -> Molecule:
-    return parse_smiles(item) if isinstance(item, str) else item
-
-
-class _FingerprintTransformer(ParamsMixin):
-    """Stateless transformer over molecules or SMILES strings."""
-
-    def fit(self, X=None, y=None):
-        return self
-
-    def fit_transform(self, X, y=None) -> np.ndarray:
-        return self.transform(X)
-
-    def transform(self, X: Sequence[Union[str, Molecule]]) -> np.ndarray:
-        cfg = self.config()
-        rows = [compute_fingerprint(_as_molecule(item), cfg) for item in X]
-        if not rows:
-            return np.zeros((0, cfg.length), dtype=np.int64)
-        return np.stack(rows)
-
-    def config(self) -> FingerprintConfig:
-        raise NotImplementedError
-
-
-class EcfpFingerprint(_FingerprintTransformer):
-    """Circular-neighborhood fingerprint; the count variant is the usual baseline."""
-
-    def __init__(self, radius: int = 2, length: int = 2048, counted: bool = True):
-        self.radius = radius
-        self.length = length
-        self.counted = counted
-
-    def config(self) -> FingerprintConfig:
-        return FingerprintConfig(
-            "ecfp", radius=self.radius, length=self.length, counted=self.counted
-        )
-
-
-class AtomPairFingerprint(_FingerprintTransformer):
-    """Typed (atom, shortest-path distance, atom) fingerprint."""
-
-    def __init__(self, length: int = 2048, counted: bool = True):
-        self.length = length
-        self.counted = counted
-
-    def config(self) -> FingerprintConfig:
-        return FingerprintConfig("atom_pair", length=self.length, counted=self.counted)
-
-
-class TopologicalTorsionFingerprint(_FingerprintTransformer):
-    """Typed linear four-atom path fingerprint."""
-
-    def __init__(self, length: int = 2048, counted: bool = True):
-        self.length = length
-        self.counted = counted
-
-    def config(self) -> FingerprintConfig:
-        return FingerprintConfig(
-            "topological_torsion", length=self.length, counted=self.counted
-        )
-
+def featurize(molecules: Sequence[Molecule], cfg: FingerprintConfig) -> np.ndarray:
+    """The ``(len(molecules), cfg.length)`` int64 matrix of fingerprint rows."""
+    matrix = np.zeros((len(molecules), cfg.length), dtype=np.int64)
+    for row, mol in zip(matrix, molecules):
+        row[:] = compute_fingerprint(mol, cfg)
+    return matrix

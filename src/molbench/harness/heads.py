@@ -1,11 +1,13 @@
 """Classifier heads trained on frozen representations.
 
-All three expose the fit / predict_proba estimator protocol and are fully
-deterministic: kNN breaks distance ties by training index, the logistic head
-uses a monotone quasi-Newton optimizer, and the forest draws its bootstrap
-from a per-tree seed stream and each node's candidate features from a hash of
-a key fixed by (tree seed, path from the root), so results do not depend on
-scheduling or on where a tree stops growing.
+All three expose ``fit`` / ``predict_proba``, check their inputs (a finite
+2-D X, a 0/1 y aligned with it), raise ``NotFittedError`` when asked to
+predict before ``fit`` and are fully deterministic: kNN breaks distance ties
+by training index, the logistic head uses a monotone quasi-Newton optimizer,
+and the forest draws its bootstrap from a per-tree seed stream and each
+node's candidate features from a hash of a key fixed by (tree seed, path
+from the root), so results do not depend on scheduling or on where a tree
+stops growing.
 
 The forest grows all its trees together, level by level: each level draws
 the candidate features of every open node in one vectorised step, finds all
@@ -25,10 +27,41 @@ import math
 
 import numpy as np
 
-from ..base import ParamsMixin, check_X_y, check_array, check_fitted
+
+class NotFittedError(RuntimeError):
+    """Raised when a head is asked to predict before ``fit``."""
 
 
-class KNeighborsHead(ParamsMixin):
+def check_array(X, *, name: str = "X", dtype=np.float64, ndim: int = 2) -> np.ndarray:
+    """Coerce to a contiguous ndarray and reject non-finite entries."""
+    arr = np.asarray(X, dtype=dtype)
+    if arr.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
+    if arr.size and not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} contains non-finite values")
+    return np.ascontiguousarray(arr)
+
+
+def check_X_y(X, y):
+    """Validate a feature matrix with an aligned binary label vector."""
+    X = check_array(X)
+    y = np.asarray(y, dtype=np.float64).ravel()
+    if len(y) != X.shape[0]:
+        raise ValueError(f"X has {X.shape[0]} rows but y has {len(y)} entries")
+    labels = np.unique(y)
+    if not np.all(np.isin(labels, (0.0, 1.0))):
+        raise ValueError(f"y must be binary 0/1, got values {labels}")
+    return X, y
+
+
+def check_fitted(estimator, attribute: str) -> None:
+    if getattr(estimator, attribute, None) is None:
+        raise NotFittedError(
+            f"{type(estimator).__name__} instance is not fitted; call fit() first"
+        )
+
+
+class KNeighborsHead:
     """Euclidean k-nearest-neighbor vote on raw feature vectors."""
 
     def __init__(self, n_neighbors: int = 5):
@@ -164,7 +197,7 @@ _LOGREG_TOL = 1e-6  # L-BFGS stops at this gradient norm ...
 _LOGREG_MAX_ITER = 10_000  # ... or after this many iterations
 
 
-class LogisticRegressionHead(ParamsMixin):
+class LogisticRegressionHead:
     """L2-penalized logistic regression on internally standardized features."""
 
     def __init__(self, reg_strength: float = 1.0):
@@ -522,7 +555,7 @@ def _grow_forest(X, y, seeds, min_samples_split, n_features_node) -> _Forest:
     return _Forest(*(np.concatenate(column) for column in zip(*levels)), len(seeds))
 
 
-class RandomForestHead(ParamsMixin):
+class RandomForestHead:
     """Bootstrap forest of entropy-split trees over sqrt(d) feature draws.
 
     Every tree draws its bootstrap from its own seed stream, and every node

@@ -109,17 +109,25 @@ class ScoreTable:
         return table
 
 
+def beats(diff: np.ndarray, epsilon: float) -> np.ndarray:
+    """The one tie rule: where a score difference (this minus that) is a win.
+
+    A difference of at least ``epsilon`` wins, so |diff| < epsilon is a tie,
+    and so is diff == 0 at epsilon 0; NaN (a missing score) is neither.
+    """
+    return (diff > 0) & (diff >= epsilon)
+
+
 def pairwise_outcomes(
     values: np.ndarray, epsilon: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The one tie rule: for each ordered pair of rows of a (model, dataset)
-    matrix such as ``ScoreTable.matrix`` returns, the datasets where row i
-    beat row j, the ties, and the datasets both score (no NaN). |diff| <
-    epsilon is a tie, and so is diff == 0 at epsilon 0; any other positive
-    difference is a win. The diagonal is zero."""
+    """For each ordered pair of rows of a (model, dataset) matrix such as
+    ``ScoreTable.matrix`` returns, the datasets where row i ``beats`` row j,
+    the ties, and the datasets both score (no NaN). The diagonal is zero."""
     diff = values[:, None, :] - values[None, :, :]
     diagonal = np.arange(len(values))
     diff[diagonal, diagonal] = np.nan  # a model is not compared with itself
-    ties = (np.abs(diff) < epsilon) | (diff == 0)
-    wins = ((diff > 0) & ~ties).sum(axis=2)
-    return wins, ties.sum(axis=2), (~np.isnan(diff)).sum(axis=2)
+    wins = beats(diff, epsilon)
+    scored = ~np.isnan(diff)
+    ties = scored & ~wins & ~wins.transpose(1, 0, 2)
+    return wins.sum(axis=2), ties.sum(axis=2), scored.sum(axis=2)

@@ -15,11 +15,9 @@ import json
 import logging
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 from typing import Optional, Union
-
-import numpy as np
 
 from .bbt import (
     BBTConfig,
@@ -30,7 +28,7 @@ from .bbt import (
     sample_posterior,
 )
 from .errors import ConfigError, DataError
-from .fingerprints import FingerprintConfig, compute_fingerprint
+from .fingerprints import FingerprintConfig, featurize
 from .harness import (
     ScoreRecord,
     ScoreTable,
@@ -105,6 +103,17 @@ def _get(mapping: dict, key: str, context: str, convert, default=_MISSING):
         raise ConfigError(f"{context}.{key}: bad value {mapping[key]!r} ({exc})") from None
 
 
+def _present(mapping: dict, context: str, **converters) -> dict:
+    """``{key: convert(mapping[key])}`` for each key of ``converters`` that
+    ``mapping`` (a JSON object) holds; an absent key is left to the dataclass
+    default."""
+    return {
+        key: _get(mapping, key, context, convert)
+        for key, convert in converters.items()
+        if key in mapping
+    }
+
+
 def _build(cls, context: str, **values):
     """``cls(**values)``, its own validation failures raised as ConfigError."""
     try:
@@ -153,9 +162,7 @@ def parse_config(document: dict) -> BenchmarkConfig:
                 FingerprintConfig,
                 context,
                 kind=_get(raw, "kind", context, str),
-                radius=_get(raw, "radius", context, int, 2),
-                length=_get(raw, "length", context, int, 2048),
-                counted=_get(raw, "counted", context, bool, True),
+                **_present(raw, context, radius=int, length=int, counted=bool),
             )
             rep_entries.append(
                 RepresentationEntry(name=name, kind="fingerprint", fingerprint=cfg)
@@ -182,42 +189,43 @@ def parse_config(document: dict) -> BenchmarkConfig:
     if len(set(rep_names)) != len(rep_names):
         raise ConfigError(f"duplicate representation names: {rep_names}")
 
-    split_raw = _get(document, "split", "config", dict, {})
-    bbt_raw = _get(document, "bbt", "config", dict, {})
     bbt_cfg = _build(
         BBTConfig,
         "bbt",
-        epsilon_tie=_get(bbt_raw, "epsilon_tie", "bbt", float, 0.01),
-        rope=_get(bbt_raw, "rope", "bbt", tuple, (0.25, 0.75)),
-        equivalence_mass=_get(bbt_raw, "equivalence_mass", "bbt", float, 0.95),
-        hdi_mass=_get(bbt_raw, "hdi_mass", "bbt", float, 0.89),
-        chains=_get(bbt_raw, "chains", "bbt", int, 4),
-        draws_per_chain=_get(bbt_raw, "draws_per_chain", "bbt", int, 5_000),
-        warmup=_get(bbt_raw, "warmup", "bbt", int, 5_000),
-        seed=_get(bbt_raw, "seed", "bbt", int, 0),
-    )
-
-    baseline = _get(document, "baseline", "config", str, "ECFP-count")
-    if baseline not in rep_names:
-        raise ConfigError(
-            f"baseline {baseline!r} is not among representations {rep_names}"
-        )
-    frac_train = _get(split_raw, "frac_train", "split", float, 0.8)
-    if not 0.0 < frac_train < 1.0:
-        raise ConfigError(f"split.frac_train must be in (0, 1), got {frac_train}")
-
-    return BenchmarkConfig(
-        datasets=tuple(dataset_entries),
-        representations=tuple(rep_entries),
-        frac_train=frac_train,
-        classifier_seed=_get(document, "classifier_seed", "config", int, 0),
-        bbt=bbt_cfg,
-        baseline=baseline,
-        near_win_epsilon=_get(document, "near_win_epsilon", "config", float, 0.01),
-        keep_largest_fragment=_get(
-            document, "keep_largest_fragment", "config", bool, False
+        **_present(
+            _get(document, "bbt", "config", dict, {}),
+            "bbt",
+            epsilon_tie=float,
+            rope=tuple,
+            equivalence_mass=float,
+            hdi_mass=float,
+            chains=int,
+            draws_per_chain=int,
+            warmup=int,
+            seed=int,
         ),
     )
+    config = BenchmarkConfig(
+        datasets=tuple(dataset_entries),
+        representations=tuple(rep_entries),
+        bbt=bbt_cfg,
+        **_present(_get(document, "split", "config", dict, {}), "split", frac_train=float),
+        **_present(
+            document,
+            "config",
+            classifier_seed=int,
+            baseline=str,
+            near_win_epsilon=float,
+            keep_largest_fragment=bool,
+        ),
+    )
+    if config.baseline not in rep_names:
+        raise ConfigError(
+            f"baseline {config.baseline!r} is not among representations {rep_names}"
+        )
+    if not 0.0 < config.frac_train < 1.0:
+        raise ConfigError(f"split.frac_train must be in (0, 1), got {config.frac_train}")
+    return config
 
 
 def load_config(path: Union[str, Path]) -> BenchmarkConfig:
@@ -244,12 +252,7 @@ def _cell_cache_key(config: BenchmarkConfig, entry: DatasetEntry, rep: Represent
         "representation": [
             rep.name,
             rep.kind,
-            None if rep.fingerprint is None else [
-                rep.fingerprint.kind,
-                rep.fingerprint.radius,
-                rep.fingerprint.length,
-                rep.fingerprint.counted,
-            ],
+            None if rep.fingerprint is None else list(astuple(rep.fingerprint)),
         ],
         "frac_train": config.frac_train,
         "classifier_seed": config.classifier_seed,
@@ -288,9 +291,7 @@ def _evaluate_cell(
             keep_largest_fragment=config.keep_largest_fragment,
         )
         if rep.kind == "fingerprint":
-            features = np.stack(
-                [compute_fingerprint(mol, rep.fingerprint) for mol in dataset.molecules]
-            )
+            features = featurize(dataset.molecules, rep.fingerprint)
         else:
             features = load_embeddings(
                 rep.embedding_paths[entry.name],
@@ -440,15 +441,18 @@ def write_report_outputs(
     out_dir: Union[str, Path],
     *,
     baseline: str,
-    near_win_epsilon: float = 0.01,
-    epsilon_tie: float = 0.01,
+    near_win_epsilon: float = BenchmarkConfig.near_win_epsilon,
+    epsilon_tie: float = BBTConfig.epsilon_tie,
 ) -> None:
-    """Write the four report tables; ``win_matrix.csv`` ties at ``epsilon_tie``."""
+    """Write the four report tables; ``win_matrix.csv`` and the epsilon column
+    of ``baseline_per_dataset.csv`` tie at ``epsilon_tie``."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_aggregate_csv(out_dir / "aggregate_report.csv", aggregate_report(scores))
     write_win_matrix_csv(out_dir / "win_matrix.csv", win_matrix(scores, epsilon_tie))
-    comparison = baseline_comparison(scores, baseline, near_win_epsilon=near_win_epsilon)
+    comparison = baseline_comparison(
+        scores, baseline, near_win_epsilon=near_win_epsilon, epsilon=epsilon_tie
+    )
     write_baseline_csv(out_dir / "baseline_per_dataset.csv", comparison)
     write_near_win_csv(out_dir / "win_near_win.csv", comparison)
 

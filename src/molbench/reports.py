@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DataError
 from .harness.metrics import average_ranks
-from .harness.scores import BEST_HEAD, ScoreTable, pairwise_outcomes
+from .harness.scores import BEST_HEAD, ScoreTable, beats, pairwise_outcomes
 
 
 def _complete_matrix(scores: ScoreTable, head: str) -> tuple[list[str], list[str], np.ndarray]:
@@ -68,7 +68,7 @@ class WinMatrixResult:
 
 def win_matrix(scores: ScoreTable, epsilon: float = 0.01, head: str = BEST_HEAD) -> WinMatrixResult:
     """Pairwise win and tie fractions under the ranking's tie rule
-    (``pairwise_outcomes``): |diff| < epsilon is a tie, else the higher wins."""
+    (``harness.scores.beats``) at ``epsilon``."""
     models, datasets, matrix = _complete_matrix(scores, head)
     wins, ties, _ = pairwise_outcomes(matrix, epsilon)
     return WinMatrixResult(tuple(models), wins / len(datasets), ties / len(datasets))
@@ -78,7 +78,7 @@ def win_matrix(scores: ScoreTable, epsilon: float = 0.01, head: str = BEST_HEAD)
 class BaselineComparison:
     baseline: str
     #: dataset -> (share of models strictly above baseline,
-    #:             share above baseline + epsilon)
+    #:             share that beat it under the tie rule at epsilon)
     per_dataset: dict[str, tuple[float, float]]
     #: model -> datasets where it won or was within near_win_epsilon of the top
     win_or_near_win: dict[str, int]
@@ -91,14 +91,16 @@ def baseline_comparison(
     epsilon: float = 0.01,
     head: str = BEST_HEAD,
 ) -> BaselineComparison:
+    """Per dataset, the share of other models strictly above the baseline and
+    the share that beat it under the ranking's tie rule at ``epsilon``."""
     models, datasets, matrix = _complete_matrix(scores, head)
     if baseline not in models:
         raise DataError(f"baseline {baseline!r} missing from the score table")
     b = models.index(baseline)
-    base_row, others = matrix[b], np.delete(matrix, b, axis=0)
-    if len(others):
-        strict = np.mean(others > base_row, axis=0)
-        beyond = np.mean(others > base_row + epsilon, axis=0)
+    diff = np.delete(matrix, b, axis=0) - matrix[b]
+    if len(diff):
+        strict = np.mean(diff > 0, axis=0)
+        beyond = np.mean(beats(diff, epsilon), axis=0)
     else:
         strict = beyond = np.zeros(len(datasets))
     per_dataset = {

@@ -71,13 +71,15 @@ class TestFingerprintCommand:
         table = load_embeddings(out)
         assert table.vectors.shape == (3, 64)
 
-    def test_bad_smiles_is_data_error(self, tmp_path):
+    def test_bad_smiles_is_data_error(self, tmp_path, capsys):
         plain = tmp_path / "mols.smi"
-        plain.write_text("C1CC\n")
+        plain.write_text("CCO\nC1CC\nCCC(\n")
         code = main(
             ["fingerprint", "--input", str(plain), "--output", str(tmp_path / "x.csv")]
         )
         assert code == EXIT_DATA
+        assert "entry 1:" in capsys.readouterr().err  # the first bad entry
+        assert not (tmp_path / "x.csv").exists()
 
     def test_bad_length_is_config_error(self, tmp_path):
         plain = tmp_path / "mols.smi"
@@ -322,6 +324,30 @@ class TestReportCommand:
         rows = (out_dir / "win_matrix.csv").read_text().splitlines()[1:]
         assert rows == ["A,B,0.000000,1.000000", "B,A,0.000000,1.000000"]
         assert build_win_table(scores, 0.05).wins.tolist() == [[0.0, 0.5], [0.5, 0.0]]
+
+    def test_baseline_epsilon_column_ties_at_the_config_epsilon(self, tmp_path):
+        scores = ScoreTable([ScoreRecord("A", "d1", "best", 0.77),
+                             ScoreRecord("B", "d1", "best", 0.70),
+                             ScoreRecord("C", "d1", "best", 0.73)])
+        scores_path = tmp_path / "scores.csv"
+        scores.to_csv(scores_path)
+        config = _evaluate_config(scores_path, [("A", "ecfp"), ("B", "ecfp"), ("C", "ecfp")])
+        config.update(baseline="B", bbt={"epsilon_tie": 0.05})
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        out_dir = tmp_path / "rep"
+        code = main(
+            [
+                "report",
+                "--scores", str(scores_path),
+                "--config", str(config_path),
+                "--output-dir", str(out_dir),
+            ]
+        )
+        assert code == EXIT_OK
+        # A beats B by 0.07; C is 0.03 above B, a tie at epsilon 0.05
+        rows = (out_dir / "baseline_per_dataset.csv").read_text().splitlines()
+        assert rows[1:] == ["d1,1.000000,0.500000"]
 
     def test_needs_baseline(self, scores_csv, tmp_path):
         code = main(

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from molbench.fingerprints import (
-    AtomPairFingerprint,
-    EcfpFingerprint,
+    KINDS,
     FingerprintConfig,
-    TopologicalTorsionFingerprint,
     atom_pair_identifiers,
     compute_fingerprint,
     ecfp_identifiers,
+    featurize,
     fold_identifiers,
     initial_invariants,
     torsion_identifiers,
@@ -189,31 +188,28 @@ class TestConfigValidation:
             FingerprintConfig("maccs")
 
 
-class TestTransformers:
-    def test_estimator_protocol(self):
-        est = EcfpFingerprint(radius=1, length=256)
-        assert est.get_params() == {"radius": 1, "length": 256, "counted": True}
-        est.set_params(radius=2)
-        assert est.get_params()["radius"] == 2
-        with pytest.raises(ValueError):
-            est.set_params(bogus=1)
+class TestFeaturize:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rows_are_compute_fingerprint(self, kind):
+        cfg = FingerprintConfig(kind, length=128, counted=False)
+        molecules = [parse_smiles(s) for s in ("CCO", "c1ccccc1CC(=O)O", "C")]
+        out = featurize(molecules, cfg)
+        assert out.dtype == np.int64
+        assert out.shape == (3, 128)
+        for row, mol in zip(out, molecules):
+            assert np.array_equal(row, compute_fingerprint(mol, cfg))
 
-    def test_transform_accepts_smiles_and_molecules(self):
-        est = AtomPairFingerprint(length=128)
-        out1 = est.fit_transform(["CCO", "CCC"])
-        out2 = est.transform([parse_smiles("CCO"), parse_smiles("CCC")])
-        assert np.array_equal(out1, out2)
-        assert out1.shape == (2, 128)
+    def test_zero_molecules(self):
+        out = featurize([], FingerprintConfig("atom_pair", length=64))
+        assert out.shape == (0, 64)
+        assert out.dtype == np.int64
 
     def test_atom_order_invariance_all_kinds(self):
         rng = np.random.default_rng(99)
-        transformers = [
-            EcfpFingerprint(length=512),
-            AtomPairFingerprint(length=512),
-            TopologicalTorsionFingerprint(length=512),
-        ]
+        configs = [FingerprintConfig(kind, length=512) for kind in KINDS]
         for _ in range(100):
             first, second, _ = random_smiles_pair(rng)
-            for est in transformers:
-                pair = est.transform([first, second])
-                assert np.array_equal(pair[0], pair[1]), (type(est).__name__, first, second)
+            pair = [parse_smiles(first), parse_smiles(second)]
+            for cfg in configs:
+                rows = featurize(pair, cfg)
+                assert np.array_equal(rows[0], rows[1]), (cfg.kind, first, second)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from molbench.errors import DataError
+from molbench.fingerprints import FingerprintConfig, featurize
 from molbench.harness import (
     BEST_HEAD,
     ClassifierSpec,
@@ -28,7 +29,7 @@ from molbench.harness import (
     write_embeddings,
 )
 from molbench.harness.evaluate import FOREST_GRID, KNN_GRID, LOGREG_GRID
-from molbench.harness.heads import _child_keys, _draw_candidates
+from molbench.harness.heads import NotFittedError, _child_keys, _draw_candidates
 from molbench.molgraph import parse_smiles
 
 
@@ -242,6 +243,20 @@ class TestKnnHead:
         # both training points at the same location but different labels
         head = KNeighborsHead(1).fit([[1.0], [1.0]], [1, 0])
         assert head.predict_proba([[1.0]])[:, 1] == pytest.approx([1.0])
+
+
+@pytest.mark.parametrize(
+    "head, method",
+    [
+        (KNeighborsHead, "predict_proba"),
+        (KNeighborsHead, "neighbor_labels"),
+        (LogisticRegressionHead, "predict_proba"),
+        (RandomForestHead, "predict_proba"),
+    ],
+)
+def test_predict_before_fit_raises_not_fitted(head, method):
+    with pytest.raises(NotFittedError, match=f"{head.__name__} instance is not fitted"):
+        getattr(head(), method)([[0.0, 1.0]])
 
 
 class TestLogisticHead:
@@ -695,10 +710,8 @@ class TestTuneAndEvaluate:
     @pytest.fixture(scope="class")
     @staticmethod
     def separable_records():
-        from molbench.fingerprints import EcfpFingerprint
-
         ds = _separable_setup()
-        features = EcfpFingerprint(length=256).transform(ds.molecules).astype(float)
+        features = featurize(ds.molecules, FingerprintConfig("ecfp", length=256)).astype(float)
         split = scaffold_split(ds, 0.6)
         specs = (
             ClassifierSpec("knn", (1, 3), 0),
@@ -723,10 +736,8 @@ class TestTuneAndEvaluate:
     def test_knn_and_logreg_scores_unchanged(self):
         # pinned: sharing one fit per fold across the grid must not move these
         from molbench.data import toy_dataset_path
-        from molbench.fingerprints import EcfpFingerprint
-
         ds = load_dataset(toy_dataset_path(), "smiles", ["activity"])
-        features = EcfpFingerprint(length=256).transform(ds.molecules).astype(float)
+        features = featurize(ds.molecules, FingerprintConfig("ecfp", length=256)).astype(float)
         split = scaffold_split(ds, 0.8)
         specs = [s for s in default_specs(0) if s.head != "random_forest"]
         records = tune_and_evaluate(ds, features, split, "ecfp", specs=specs)
@@ -739,10 +750,8 @@ class TestTuneAndEvaluate:
     def test_forest_score_unchanged(self):
         # pinned: how trees are grown must not move the forest's toy score
         from molbench.data import toy_dataset_path
-        from molbench.fingerprints import EcfpFingerprint
-
         ds = load_dataset(toy_dataset_path(), "smiles", ["activity"])
-        features = EcfpFingerprint(length=256).transform(ds.molecules).astype(float)
+        features = featurize(ds.molecules, FingerprintConfig("ecfp", length=256)).astype(float)
         split = scaffold_split(ds, 0.8)
         specs = [s for s in default_specs(0) if s.head == "random_forest"]
         records = tune_and_evaluate(ds, features, split, "ecfp", specs=specs)
@@ -763,13 +772,12 @@ class TestTuneAndEvaluate:
     def test_two_task_cell_records_pinned(self, kind, expected, monkeypatch):
         # pinned: how a cell is planned and scored must not move a record;
         # integer counts take the binned forest search, floats the sorted one
-        from molbench.fingerprints import EcfpFingerprint
         from molbench.harness import evaluate
 
         monkeypatch.setattr(evaluate, "N_TREES", 25)
         dataset, split = _two_task_cell()
         if kind == "fingerprint":
-            features = EcfpFingerprint(length=256).transform(dataset.molecules)
+            features = featurize(dataset.molecules, FingerprintConfig("ecfp", length=256))
             assert features.dtype.kind == "i"
         else:
             features = np.random.default_rng(7).normal(size=(dataset.n_molecules, 6))
@@ -794,10 +802,8 @@ class TestTuneAndEvaluate:
         assert calls == [24, 18]  # each task's labelled train rows, once
 
     def test_invalid_grid_point_rejected(self):
-        from molbench.fingerprints import EcfpFingerprint
-
         ds = _separable_setup(10)
-        features = EcfpFingerprint(length=128).transform(ds.molecules).astype(float)
+        features = featurize(ds.molecules, FingerprintConfig("ecfp", length=128)).astype(float)
         split = scaffold_split(ds, 0.6)
         specs = (ClassifierSpec("knn", (3, 0), 0),)
         with pytest.raises(ValueError, match="n_neighbors"):
@@ -810,9 +816,7 @@ class TestTuneAndEvaluate:
         labels = np.column_stack([ds.labels[:, 0], np.zeros(ds.n_molecules)])
         labels[0, 1] = 1.0
         two_task = Dataset("two", ds.smiles, labels, ["a", "b"], ds.molecules)
-        from molbench.fingerprints import EcfpFingerprint
-
-        features = EcfpFingerprint(length=128).transform(ds.molecules).astype(float)
+        features = featurize(ds.molecules, FingerprintConfig("ecfp", length=128)).astype(float)
         split = scaffold_split(two_task, 0.6)
         specs = (ClassifierSpec("knn", (1,), 0),)
         records = tune_and_evaluate(two_task, features, split, "m", specs=specs)
@@ -823,9 +827,7 @@ class TestTuneAndEvaluate:
         labels = np.zeros((ds.n_molecules, 1))
         labels[0, 0] = 1.0  # single positive, lives on the train side only
         skewed = Dataset("skewed", ds.smiles, labels, ["a"], ds.molecules)
-        from molbench.fingerprints import EcfpFingerprint
-
-        features = EcfpFingerprint(length=128).transform(ds.molecules).astype(float)
+        features = featurize(ds.molecules, FingerprintConfig("ecfp", length=128)).astype(float)
         split = scaffold_split(skewed, 0.6)
         specs = (ClassifierSpec("knn", (1,), 0),)
         with pytest.raises(DataError, match="no task"):

@@ -168,6 +168,7 @@ def test_difference_of_exactly_epsilon_is_a_win_in_ranking_and_reports():
     assert table.wins.tolist() == [[0.0, 1.0], [0.0, 0.0]]
     assert report.win_fraction.tolist() == [[0.0, 1.0], [0.0, 0.0]]
     assert report.tie_fraction.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+    assert baseline_comparison(scores, "B", epsilon=0.25).per_dataset == {"d1": (1.0, 1.0)}
 
 
 def test_equal_scores_tie_at_zero_epsilon():

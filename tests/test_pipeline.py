@@ -1,5 +1,6 @@
 """Config validation, cell caching, and pipeline determinism."""
 
+import dataclasses
 import hashlib
 import json
 import logging
@@ -7,10 +8,16 @@ import logging
 import numpy as np
 import pytest
 
+from molbench.bbt import BBTConfig
+from molbench.data import toy_dataset_path
 from molbench.errors import ConfigError, DataError
 from molbench import pipeline
+from molbench.fingerprints import FingerprintConfig
 from molbench.harness import write_embeddings
 from molbench.pipeline import (
+    BenchmarkConfig,
+    DatasetEntry,
+    RepresentationEntry,
     load_config,
     parse_config,
     run_evaluation,
@@ -84,6 +91,21 @@ class TestConfigValidation:
         assert config.baseline == "ECFP-count"
         assert parse_config(document).datasets[0].name == "tiny"
 
+    def test_minimal_config_takes_the_dataclass_defaults(self, workspace):
+        _, _, document = workspace
+        config = parse_config(
+            {
+                "version": 1,
+                "datasets": document["datasets"],
+                "representations": [
+                    {"name": "ECFP-count", "type": "fingerprint", "kind": "ecfp"}
+                ],
+            }
+        )
+        assert config.bbt == BBTConfig()
+        assert config.representations[0].fingerprint == FingerprintConfig("ecfp")
+        assert config == BenchmarkConfig(config.datasets, config.representations)
+
     def test_bad_version(self, workspace):
         _, _, document = workspace
         document = dict(document, version=99)
@@ -144,6 +166,31 @@ class TestConfigValidation:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="JSON"):
             load_config(path)
+
+
+class TestCellCacheKey:
+    @staticmethod
+    def _key(fingerprint):
+        entry = DatasetEntry("toy", str(toy_dataset_path()), "smiles", ("activity",))
+        rep = RepresentationEntry("rep", "fingerprint", fingerprint)
+        return pipeline._cell_cache_key(BenchmarkConfig((entry,), (rep,)), entry, rep)
+
+    @pytest.mark.parametrize(
+        "fingerprint, key",
+        [
+            (FingerprintConfig("ecfp"), "f52597519447a93b"),
+            (FingerprintConfig("atom_pair", 1, 256, False), "3c8257775b7131a0"),
+        ],
+    )
+    def test_key_pinned(self, fingerprint, key):
+        # pinned: cells cached at this grid revision must keep hitting
+        assert self._key(fingerprint) == key
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(FingerprintConfig)])
+    def test_every_fingerprint_field_moves_the_key(self, name):
+        base = FingerprintConfig("ecfp")
+        other = {"kind": "atom_pair", "radius": 3, "length": 1024, "counted": False}[name]
+        assert self._key(dataclasses.replace(base, **{name: other})) != self._key(base)
 
 
 class TestEvaluationPipeline:
