@@ -39,6 +39,7 @@ from .wintable import WinTable
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _SIGMA_PRIOR_SCALE = 0.5  # LogNormal(0, 0.5^2) on the shared ability scale
+_T_PRECISION = _SIGMA_PRIOR_SCALE**-2  # of t = log sigma under that prior
 _RHAT_LIMIT = 1.01
 _ESS_FLOOR = 400.0
 
@@ -73,8 +74,8 @@ class BBTConfig:
             )
         if self.chains < 2:
             raise ValueError(f"need at least 2 chains, got {self.chains}")
-        if self.draws_per_chain < 1 or self.warmup < 0:
-            raise ValueError("draws_per_chain must be >= 1 and warmup >= 0")
+        if self.draws_per_chain < 4 or self.warmup < 0:  # split R-hat and ESS need 4
+            raise ValueError("draws_per_chain must be >= 4 and warmup >= 0")
         if self.epsilon_tie < 0:
             raise ValueError(f"epsilon_tie must be >= 0, got {self.epsilon_tie}")
 
@@ -105,30 +106,34 @@ class AbilityPosterior:
 
 
 class _Likelihood:
-    """Binomial log-likelihood of a win table for a (chains, M) batch of abilities."""
+    """Binomial log-likelihood of a win table for a (chains, M) batch of abilities.
+
+    Over the P pairs i < j compared n_ij > 0 times, with h = (beta_i - beta_j) / 2
+    (a column of ``beta @ half_inc``): W_ij log sigmoid(2h) + W_ji log sigmoid(-2h)
+    = (W_ij - W_ji) h - n_ij log(2 cosh h).
+    """
 
     def __init__(self, wins: np.ndarray):
-        self.wins = wins
-        comparisons = wins + wins.T
-        # sigmoid(D) = (1 + tanh(D / 2)) / 2 splits the gradient into a
-        # constant and a tanh term; tanh cannot overflow
-        self.half_comparisons = 0.5 * comparisons
-        self.grad_offset = wins.sum(axis=1) - self.half_comparisons.sum(axis=1)
+        first, second = np.nonzero(np.triu(wins + wins.T, 1))
+        won, lost = wins[first, second], wins[second, first]
+        eye = np.eye(len(wins))
+        self.half_inc = 0.5 * (eye[:, first] - eye[:, second])  # (M, P)
+        self.net_wins = won - lost
+        self.comparisons = won + lost
+        # d/dh = (W_ij - W_ji) - n_ij tanh(h), and tanh cannot overflow
+        self.grad_offset = self.half_inc @ self.net_wins
+        self.spread = (self.half_inc * self.comparisons).T  # (P, M)
 
     def __call__(self, beta: np.ndarray, with_value: bool = True):
-        """(log-likelihood or None, d log-likelihood / d beta), one row per chain.
-
-        With D_ij = beta_i - beta_j the gradient is
-        rowsum(W)_i - sum_j (W_ij + W_ji) * sigmoid(D_ij).
-        """
-        delta = beta[:, :, None] - beta[:, None, :]
-        grad = self.grad_offset - np.einsum(
-            "cij,ij->ci", np.tanh(0.5 * delta), self.half_comparisons
-        )
+        """(log-likelihood or None, d log-likelihood / d beta), one row per chain."""
+        half_diff = beta @ self.half_inc
+        grad = self.grad_offset - np.tanh(half_diff) @ self.spread
         if not with_value:
             return None, grad
-        log_p_win = np.minimum(delta, 0.0) - np.log1p(np.exp(-np.abs(delta)))
-        return np.einsum("cij,ij->c", log_p_win, self.wins), grad
+        # log(2 cosh h) without overflow; np.logaddexp(h, -h) costs several times more
+        size = np.abs(half_diff)
+        log_2cosh = size + np.log1p(np.exp(-2.0 * size))
+        return half_diff @ self.net_wins - log_2cosh @ self.comparisons, grad
 
 
 def log_posterior(beta: np.ndarray, sigma: float, table: WinTable) -> float:
@@ -165,6 +170,9 @@ class _NonCentred:
     log p(q) = loglik(beta) - |z|^2 / 2 - t - t^2 / (2 * 0.5^2), which is
     ``log_posterior`` plus the log Jacobians of sigma -> t (t) and of
     z -> beta ((M - 1) t), up to a constant.
+
+    The gradient comes as d/dz (all M abilities) and d/dt. ``density`` rebuilds
+    both from the likelihood terms ``terms`` returned at the same beta.
     """
 
     def __init__(self, table: WinTable):
@@ -175,26 +183,41 @@ class _NonCentred:
         self.to_z[: m - 1, : m - 1] = np.eye(m - 1)
         self.to_z[: m - 1, m - 1] = -1.0
 
-    def abilities(self, q: np.ndarray):
+    def terms(self, q: np.ndarray, with_value: bool = True):
+        """((log density or None, d/dz, d/dt),
+        (loglik or None, d loglik / d beta, beta . d loglik / d beta)) at each row of q."""
         z = q @ self.to_z
         t = q[:, -1]
-        return z, t, np.exp(t)[:, None] * z
+        sigma = np.exp(t)[:, None]
+        loglik, grad_beta = self.likelihood(sigma * z, with_value)
+        grad_z = sigma * grad_beta  # d loglik / dz
+        beta_grad = np.vecdot(grad_z, z)
+        grad_z -= z
+        return self._density(z, t, loglik, grad_z, beta_grad), (loglik, grad_beta, beta_grad)
 
-    def log_density(self, loglik, z, t):
-        return (
-            loglik - 0.5 * np.einsum("ij,ij->i", z, z) - t - 0.5 * (t / _SIGMA_PRIOR_SCALE) ** 2
-        )
+    def density(self, q: np.ndarray, loglik, grad_beta, beta_grad):
+        """(log density, d/dz, d/dt) at each row of q from its likelihood terms."""
+        z = q @ self.to_z
+        t = q[:, -1]
+        grad_z = np.exp(t)[:, None] * grad_beta - z
+        return self._density(z, t, loglik, grad_z, beta_grad)
 
-    def gradient(self, z, t, beta, grad_beta):
-        grad = (np.exp(t)[:, None] * grad_beta - z) @ self.to_z.T
-        grad[:, -1] = np.einsum("ij,ij->i", grad_beta, beta) - 1.0 - t / _SIGMA_PRIOR_SCALE**2
-        return grad
+    @staticmethod
+    def _density(z, t, loglik, grad_z, beta_grad):
+        """The prior's part: d/dt and, with ``loglik``, the log density."""
+        grad_t_prior = 1.0 + _T_PRECISION * t  # minus d(log prior) / dt
+        grad_t = beta_grad - grad_t_prior
+        if loglik is None:
+            return None, grad_z, grad_t
+        log_prior = 0.5 * (np.vecdot(z, z) + t * (1.0 + grad_t_prior))
+        return loglik - log_prior, grad_z, grad_t
 
     def __call__(self, q: np.ndarray):
         """(log density, gradient) at each row of q."""
-        z, t, beta = self.abilities(q)
-        loglik, grad_beta = self.likelihood(beta)
-        return self.log_density(loglik, z, t), self.gradient(z, t, beta, grad_beta)
+        (log_density, grad_z, grad_t), _ = self.terms(q)
+        grad = grad_z @ self.to_z.T
+        grad[:, -1] = grad_t
+        return log_density, grad
 
 
 class _DualAveraging:
@@ -251,11 +274,14 @@ def sample_posterior(table: WinTable, config: Optional[BBTConfig] = None) -> Abi
         for s in np.random.SeedSequence(config.seed).spawn(chains)
     ]
 
+    # the state: q (z_M is derived, never carried) and q's likelihood terms
     q = np.stack([rng.normal(0.0, 0.3, size=m) for rng in rngs])
-    z, t, beta = target.abilities(q)
-    loglik, grad_beta = target.likelihood(beta)
+    _, (loglik, grad_beta, beta_grad) = target.terms(q)
 
-    chol = np.eye(m)  # inverse mass matrix = chol @ chol.T
+    # inverse mass matrix = chol @ chol.T; with x = chol^-1 q the gradient in
+    # x is d/dz @ kick_z + d/dt * kick_t
+    chol = np.eye(m)
+    kick_z, kick_t = target.to_z.T @ chol, chol[-1]
     adapt = _DualAveraging(np.full(chains, math.log(_INITIAL_STEP)))
     log_move_scale = np.zeros(chains)
     edges = [int(round(f * warmup)) for f in _METRIC_WINDOWS]
@@ -264,6 +290,7 @@ def sample_posterior(table: WinTable, config: Optional[BBTConfig] = None) -> Abi
     step = np.exp(adapt.log_step)
     accept_sum = np.zeros(chains)
     draws = np.empty((chains, config.draws_per_chain, m))  # post-warmup q, chain-major
+    eps_rows = np.empty((chains, m))
 
     block = 256
     for start in range(0, total, block):
@@ -272,55 +299,49 @@ def sample_posterior(table: WinTable, config: Optional[BBTConfig] = None) -> Abi
         # and the two acceptance uniforms
         normals = np.stack([rng.standard_normal((span, m + 1)) for rng in rngs], axis=1)
         uniforms = np.stack([rng.random((span, 3)) for rng in rngs], axis=1)
-        jitter = 1.0 + _STEP_JITTER * (2.0 * uniforms[:, :, 0] - 1.0)
+        jitter = 1.0 + _STEP_JITTER * (2.0 * uniforms[:, :, :1] - 1.0)
         log_u = np.log(uniforms[:, :, 1:])
+        kinetic = 0.5 * np.vecdot(normals[:, :, :m], normals[:, :, :m])
         for b in range(span):
             k = start + b
             warming = k < warmup
-            eps = (step * jitter[b])[:, None]
+            # one row per chain, so every product with eps below is elementwise
+            eps = np.multiply(step[:, None], jitter[b], out=eps_rows)
             half = 0.5 * eps
 
-            # HMC: x = chol^-1 q has identity mass, so p ~ N(0, I)
-            p = normals[b, :, :m]
-            energy0 = target.log_density(loglik, z, t) - 0.5 * np.einsum("ij,ij->i", p, p)
-            grad_x = target.gradient(z, t, beta, grad_beta) @ chol
+            # HMC: x = chol^-1 q has identity mass, so p ~ N(0, I); the two
+            # half kicks between drifts make one whole kick
+            log_density, grad_z, grad_t = target.density(q, loglik, grad_beta, beta_grad)
+            energy0 = log_density - kinetic[b]
+            p = normals[b, :, :m] + half * (grad_z @ kick_z + grad_t[:, None] * kick_t)
             q_new = q
             with np.errstate(over="ignore", invalid="ignore"):
                 for leap in range(_LEAPFROG_STEPS):
-                    p = p + half * grad_x
-                    q_new = q_new + eps * (p @ chol.T)
-                    z_new, t_new, beta_new = target.abilities(q_new)
-                    loglik_new, grad_beta_new = target.likelihood(
-                        beta_new, with_value=leap == _LEAPFROG_STEPS - 1
-                    )
-                    grad_x = target.gradient(z_new, t_new, beta_new, grad_beta_new) @ chol
-                    p = p + half * grad_x
-                log_ratio = (
-                    target.log_density(loglik_new, z_new, t_new)
-                    - 0.5 * np.einsum("ij,ij->i", p, p)
-                    - energy0
-                )
+                    last = leap == _LEAPFROG_STEPS - 1
+                    q_new = q_new + (eps * p) @ chol.T
+                    (log_density, grad_z, grad_t), terms = target.terms(q_new, with_value=last)
+                    p = p + (half if last else eps) * (grad_z @ kick_z + grad_t[:, None] * kick_t)
+                log_ratio = log_density - 0.5 * np.vecdot(p, p) - energy0
             # a non-finite energy is a rejection: fmax turns nan into -inf
             log_ratio = np.fmax(log_ratio, -np.inf)
             accept_prob = np.exp(np.minimum(log_ratio, 0.0))
             accept = log_u[b, :, 0] < log_ratio
-            q = np.where(accept[:, None], q_new, q)
-            loglik = np.where(accept, loglik_new, loglik)
-            grad_beta = np.where(accept[:, None], grad_beta_new, grad_beta)
+            np.copyto(q, q_new, where=accept[:, None])
+            np.copyto(loglik, terms[0], where=accept)
+            np.copyto(grad_beta, terms[1], where=accept[:, None])
+            np.copyto(beta_grad, terms[2], where=accept)
 
-            # sigma | beta: t -> t + u, z -> z e^-u; the likelihood is
+            # sigma | beta: t -> t + u, z -> z e^-u; the likelihood terms are
             # unchanged, so only the prior terms and the Jacobian enter
-            z, t, _ = target.abilities(q)
+            z = q @ target.to_z
+            t = q[:, -1]
             u = np.exp(log_move_scale) * normals[b, :, m]
-            log_alpha = (
-                0.5 * np.einsum("ij,ij->i", z, z) * -np.expm1(-2.0 * u)
-                - m * u
-                - ((t + u) ** 2 - t**2) / (2.0 * _SIGMA_PRIOR_SCALE**2)
+            log_alpha = -0.5 * np.vecdot(z, z) * np.expm1(-2.0 * u) - u * (
+                m + (2.0 * t + u) * (0.5 * _T_PRECISION)
             )
-            u = np.where(log_u[b, :, 1] < log_alpha, u, 0.0)
+            u *= log_u[b, :, 1] < log_alpha
             q[:, :-1] *= np.exp(-u)[:, None]
             q[:, -1] += u
-            z, t, beta = target.abilities(q)
 
             if warming:
                 adapt.update(accept_prob)
@@ -333,6 +354,7 @@ def sample_posterior(table: WinTable, config: Optional[BBTConfig] = None) -> Abi
                         window[k - lo] = q
                         if k + 1 == hi:
                             chol = np.linalg.cholesky(_window_covariance(window[: hi - lo]))
+                            kick_z, kick_t = target.to_z.T @ chol, chol[-1]
                             adapt.restart(adapt.log_step_bar)
                 if k + 1 == warmup:
                     # pool the tuned kernels so every chain samples alike

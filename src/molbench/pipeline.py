@@ -13,6 +13,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import astuple, dataclass, field
@@ -85,6 +86,38 @@ class BenchmarkConfig:
 _MISSING = object()
 
 
+def _json_type(expected: str, *types: type):
+    """A converter that passes values of ``types`` through and rejects every
+    other JSON type: a bool is never taken for a number, nor a number for a
+    bool."""
+
+    def convert(value):
+        if isinstance(value, bool) != (bool in types) or not isinstance(value, types):
+            raise TypeError(f"expected {expected}")
+        return value
+
+    return convert
+
+
+_INT = _json_type("an integer", int)
+_NUMBER = _json_type("a number", int, float)
+_BOOL = _json_type("true or false", bool)
+_STR = _json_type("a string", str)
+_ARRAY = _json_type("an array", list)
+_OBJECT = _json_type("an object", dict)
+
+
+def _float(value) -> float:
+    value = float(_NUMBER(value))
+    if not math.isfinite(value):  # Python's JSON reader accepts NaN and Infinity
+        raise ValueError("expected a finite number")
+    return value
+
+
+def _array_of(convert):
+    return lambda value: tuple(convert(item) for item in _ARRAY(value))
+
+
 def _get(mapping: dict, key: str, context: str, convert, default=_MISSING):
     """``convert(mapping[key])``, or ``default`` when the key is absent.
 
@@ -130,20 +163,18 @@ def parse_config(document: dict) -> BenchmarkConfig:
     if not isinstance(document, dict):
         raise ConfigError("config must be a JSON object")
     version = document.get("version")
-    if version != CONFIG_VERSION:
+    if type(version) is not int or version != CONFIG_VERSION:
         raise ConfigError(f"unsupported config version {version!r}")
 
     dataset_entries = []
-    for idx, raw in enumerate(_get(document, "datasets", "config", list)):
+    for idx, raw in enumerate(_get(document, "datasets", "config", _ARRAY)):
         context = f"datasets[{idx}]"
         dataset_entries.append(
             DatasetEntry(
-                name=_get(raw, "name", context, str),
-                path=_get(raw, "path", context, str),
-                smiles_column=_get(raw, "smiles_column", context, str),
-                task_columns=tuple(
-                    str(c) for c in _get(raw, "task_columns", context, list)
-                ),
+                name=_get(raw, "name", context, _STR),
+                path=_get(raw, "path", context, _STR),
+                smiles_column=_get(raw, "smiles_column", context, _STR),
+                task_columns=_get(raw, "task_columns", context, _array_of(_STR)),
             )
         )
     if not dataset_entries:
@@ -153,25 +184,23 @@ def parse_config(document: dict) -> BenchmarkConfig:
         raise ConfigError(f"duplicate dataset names: {names}")
 
     rep_entries = []
-    for idx, raw in enumerate(_get(document, "representations", "config", list)):
+    for idx, raw in enumerate(_get(document, "representations", "config", _ARRAY)):
         context = f"representations[{idx}]"
-        name = _get(raw, "name", context, str)
-        rep_type = _get(raw, "type", context, str)
+        name = _get(raw, "name", context, _STR)
+        rep_type = _get(raw, "type", context, _STR)
         if rep_type == "fingerprint":
             cfg = _build(
                 FingerprintConfig,
                 context,
-                kind=_get(raw, "kind", context, str),
-                **_present(raw, context, radius=int, length=int, counted=bool),
+                kind=_get(raw, "kind", context, _STR),
+                **_present(raw, context, radius=_INT, length=_INT, counted=_BOOL),
             )
             rep_entries.append(
                 RepresentationEntry(name=name, kind="fingerprint", fingerprint=cfg)
             )
         elif rep_type == "embedding":
-            paths = {
-                str(k): str(v)
-                for k, v in _get(raw, "paths", context, dict).items()
-            }
+            raw_paths = _get(raw, "paths", context, _OBJECT)
+            paths = {key: _get(raw_paths, key, f"{context}.paths", _STR) for key in raw_paths}
             missing = [d for d in names if d not in paths]
             if missing:
                 raise ConfigError(
@@ -193,30 +222,30 @@ def parse_config(document: dict) -> BenchmarkConfig:
         BBTConfig,
         "bbt",
         **_present(
-            _get(document, "bbt", "config", dict, {}),
+            _get(document, "bbt", "config", _OBJECT, {}),
             "bbt",
-            epsilon_tie=float,
-            rope=tuple,
-            equivalence_mass=float,
-            hdi_mass=float,
-            chains=int,
-            draws_per_chain=int,
-            warmup=int,
-            seed=int,
+            epsilon_tie=_float,
+            rope=_array_of(_float),
+            equivalence_mass=_float,
+            hdi_mass=_float,
+            chains=_INT,
+            draws_per_chain=_INT,
+            warmup=_INT,
+            seed=_INT,
         ),
     )
     config = BenchmarkConfig(
         datasets=tuple(dataset_entries),
         representations=tuple(rep_entries),
         bbt=bbt_cfg,
-        **_present(_get(document, "split", "config", dict, {}), "split", frac_train=float),
+        **_present(_get(document, "split", "config", _OBJECT, {}), "split", frac_train=_float),
         **_present(
             document,
             "config",
-            classifier_seed=int,
-            baseline=str,
-            near_win_epsilon=float,
-            keep_largest_fragment=bool,
+            classifier_seed=_INT,
+            baseline=_STR,
+            near_win_epsilon=_float,
+            keep_largest_fragment=_BOOL,
         ),
     )
     if config.baseline not in rep_names:

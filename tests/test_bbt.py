@@ -23,7 +23,7 @@ from molbench.bbt import (
     simulate_win_table,
     split_rhat,
 )
-from molbench.bbt.model import _NonCentred
+from molbench.bbt.model import _Likelihood, _NonCentred
 from molbench.errors import ConvergenceError, DataError
 from molbench.harness import ScoreRecord, ScoreTable
 
@@ -134,6 +134,49 @@ def _random_table(m, rng):
     wins = rng.integers(0, 25, size=(m, m)) * 0.5
     np.fill_diagonal(wins, 0.0)
     return WinTable(tuple(f"m{i}" for i in range(m)), wins)
+
+
+def _dense_likelihood(wins, beta):
+    """Log-likelihood and gradient over the full (chains, M, M) difference array."""
+    delta = beta[:, :, None] - beta[:, None, :]
+    half_comparisons = 0.5 * (wins + wins.T)
+    grad = (
+        wins.sum(axis=1)
+        - half_comparisons.sum(axis=1)
+        - np.einsum("cij,ij->ci", np.tanh(0.5 * delta), half_comparisons)
+    )
+    log_p_win = np.minimum(delta, 0.0) - np.log1p(np.exp(-np.abs(delta)))
+    return np.einsum("cij,ij->c", log_p_win, wins), grad
+
+
+def _sparse_table(m, seed):
+    """Random wins with about 30% of the pairs never compared."""
+    rng = np.random.default_rng(seed)
+    wins = _random_table(m, rng).wins
+    i, j = np.triu_indices(m, 1)
+    dropped = rng.random(len(i)) < 0.3
+    wins[i[dropped], j[dropped]] = wins[j[dropped], i[dropped]] = 0.0
+    return wins
+
+
+class TestPairListLikelihood:
+    @pytest.mark.parametrize(
+        "wins",
+        [
+            pytest.param(_sparse_table(2, 202), id="2"),
+            pytest.param(_sparse_table(5, 205), id="5"),
+            pytest.param(_sparse_table(25, 225), id="25"),
+            pytest.param(np.array([[0.0, 100.0], [0.0, 0.0]]), id="one-sided"),
+        ],
+    )
+    def test_matches_dense_formula(self, wins):
+        beta = np.random.default_rng(len(wins)).normal(0.0, 1.5, size=(4, len(wins)))
+        value, grad = _Likelihood(wins)(beta)
+        dense_value, dense_grad = _dense_likelihood(wins, beta)
+        assert np.all(np.abs(value - dense_value) <= 1e-12 * np.abs(dense_value))
+        for row, dense_row in zip(grad, dense_grad):
+            assert np.linalg.norm(row - dense_row) <= 1e-12 * np.linalg.norm(dense_row)
+        assert np.array_equal(_Likelihood(wins)(beta, with_value=False)[1], grad)
 
 
 class TestNonCentredDensity:
@@ -346,6 +389,17 @@ class TestSamplePosterior:
             table, BBTConfig(chains=2, draws_per_chain=2500, warmup=1500, seed=2)
         )
         assert np.all(posterior.beta_draws.sum(axis=1) == 0.0)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_gates_pass_on_the_sum_to_zero_table(self, seed):
+        # z_M must stay derived from the free coordinates: any drift between
+        # them grows with every sigma move and shows up in these gates
+        table = WinTable(("a", "b", "c"), np.array([[0, 4, 2], [1, 0, 3], [3, 2, 0]], dtype=float))
+        posterior = sample_posterior(
+            table, BBTConfig(chains=2, draws_per_chain=2500, warmup=1500, seed=seed)
+        )
+        assert max(posterior.r_hat.values()) < 1.01
+        assert min(posterior.ess.values()) > 400
 
     def test_relabeling_invariance(self):
         wins = np.array([[0, 7, 2], [3, 0, 4], [8, 6, 0]], dtype=float)

@@ -250,34 +250,87 @@ class TestCompareCommand:
         assert "r_hat" in ranking["diagnostics"]
 
     def test_diagnostics_failure_exit_code(self, scores_csv, tmp_path):
-        config = {
-            "version": 1,
-            "datasets": [
-                {"name": "d", "path": str(scores_csv), "smiles_column": "s", "task_columns": ["t"]}
-            ],
-            "representations": [
-                {"name": "alpha", "type": "fingerprint", "kind": "ecfp"}
-            ],
-            "baseline": "alpha",
-            "bbt": {"chains": 2, "draws_per_chain": 120, "warmup": 100},
-        }
-        config_path = tmp_path / "bbt.json"
-        config_path.write_text(json.dumps(config))
-        code = main(
-            [
-                "compare",
-                "--scores", str(scores_csv),
-                "--config", str(config_path),
-                "--output-dir", str(tmp_path / "cmp2"),
-            ]
-        )
-        assert code == EXIT_DIAGNOSTICS
+        config = _compare_config(scores_csv)
+        config["bbt"] = {"chains": 2, "draws_per_chain": 120, "warmup": 100}
+        assert _compare(scores_csv, config, tmp_path) == EXIT_DIAGNOSTICS
+
+    def test_too_few_draws_is_config_error(self, scores_csv, tmp_path, capsys):
+        # split R-hat and ESS need 4 draws per chain
+        config = _compare_config(scores_csv)
+        config["bbt"] = {"chains": 2, "draws_per_chain": 3, "warmup": 10}
+        assert _compare(scores_csv, config, tmp_path) == EXIT_CONFIG
+        assert "draws_per_chain must be >= 4" in capsys.readouterr().err
 
     def test_bad_scores_file(self, tmp_path):
         path = tmp_path / "nope.csv"
         path.write_text("a,b\n1,2\n")
         code = main(["compare", "--scores", str(path), "--output-dir", str(tmp_path / "o")])
         assert code == EXIT_DATA
+
+
+def _compare_config(scores_csv):
+    return {
+        "version": 1,
+        "datasets": [
+            {"name": "d", "path": str(scores_csv), "smiles_column": "s", "task_columns": ["t"]}
+        ],
+        "representations": [{"name": "alpha", "type": "fingerprint", "kind": "ecfp"}],
+        "split": {"frac_train": 0.8},
+        "baseline": "alpha",
+        "bbt": {"chains": 2, "draws_per_chain": 500, "warmup": 500},
+    }
+
+
+def _compare(scores_csv, config, tmp_path):
+    config_path = tmp_path / "compare.json"
+    config_path.write_text(json.dumps(config))
+    return main(
+        [
+            "compare",
+            "--scores", str(scores_csv),
+            "--config", str(config_path),
+            "--output-dir", str(tmp_path / "cmp"),
+        ]
+    )
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        pytest.param(("representations", 0, "counted"), "false", id="counted-str"),
+        pytest.param(("representations", 0, "counted"), 1, id="counted-int"),
+        pytest.param(("representations", 0, "radius"), 2.9, id="radius-float"),
+        pytest.param(("representations", 0, "length"), True, id="length-bool"),
+        pytest.param(("representations", 0, "kind"), 5, id="kind-int"),
+        pytest.param(("keep_largest_fragment",), "no", id="keep_largest_fragment-str"),
+        pytest.param(("classifier_seed",), True, id="classifier_seed-bool"),
+        pytest.param(("near_win_epsilon",), "0.01", id="near_win_epsilon-str"),
+        pytest.param(("split", "frac_train"), True, id="frac_train-bool"),
+        pytest.param(("bbt", "chains"), 4.7, id="chains-float"),
+        pytest.param(("bbt", "warmup"), "2500", id="warmup-str"),
+        pytest.param(("bbt", "draws_per_chain"), True, id="draws_per_chain-bool"),
+        pytest.param(("bbt", "hdi_mass"), False, id="hdi_mass-bool"),
+        pytest.param(("bbt", "epsilon_tie"), float("nan"), id="epsilon_tie-nan"),
+        pytest.param(("near_win_epsilon",), float("inf"), id="near_win_epsilon-inf"),
+        pytest.param(("bbt", "rope"), ["0.25", 0.75], id="rope-str"),
+        pytest.param(("bbt", "rope"), {"low": 0.25}, id="rope-object"),
+        pytest.param(("bbt",), [], id="bbt-array"),
+        pytest.param(("datasets", 0, "task_columns"), [1], id="task_columns-int"),
+        pytest.param(("datasets", 0, "task_columns"), "t", id="task_columns-str"),
+        pytest.param(("datasets", 0, "name"), 7, id="name-int"),
+        pytest.param(("datasets",), {"d": 1}, id="datasets-object"),
+        pytest.param(("version",), True, id="version-bool"),
+    ],
+)
+def test_wrong_json_type_is_config_error(scores_csv, tmp_path, capsys, path, value):
+    config = _compare_config(scores_csv)
+    parent = config
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    assert _compare(scores_csv, config, tmp_path) == EXIT_CONFIG
+    assert not (tmp_path / "cmp").exists()
+    assert "Traceback" not in capsys.readouterr().err
 
 
 class TestReportCommand:
