@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -82,6 +83,8 @@ def _cmd_fingerprint(args) -> int:
 
 
 def _cmd_split(args) -> int:
+    if not 0.0 < args.frac_train < 1.0:
+        raise ConfigError(f"--frac-train must be in (0, 1), got {args.frac_train}")
     smiles = _read_smiles(Path(args.input), args.smiles_column)
     molecules = []
     kept_rows = []
@@ -121,6 +124,8 @@ def _load_config_with_overrides(args):
 
 
 def _cmd_evaluate(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     config = _load_config_with_overrides(args)
     table = run_evaluation(
         config, args.output_dir, jobs=args.jobs, resume=args.resume
@@ -153,6 +158,8 @@ def _cmd_report(args) -> int:
     else:
         baseline = args.baseline
         near_win = args.near_win_epsilon
+        if not 0.0 <= near_win < math.inf:
+            raise ConfigError(f"--near-win-epsilon must be finite and >= 0, got {near_win}")
         epsilon_tie = BBTConfig().epsilon_tie  # as compare without --config
     if baseline is None:
         raise ConfigError("report needs --config or --baseline")

@@ -13,7 +13,10 @@ The forest grows all its trees together, level by level: each level draws
 the candidate features of every open node in one vectorised step, finds all
 their best splits in batched array operations (a bincount over node,
 candidate and bin for integer counts, one segment-wise sort otherwise) and
-partitions all their rows at once.
+partitions all their rows at once. The search covers only candidates that
+vary on the fit rows: a column constant there (most columns of a folded
+fingerprint on a small dataset) can split no node, so leaving it out changes
+no forest.
 
 Two heads serve a whole hyperparameter grid from one fit: ``neighbor_labels``
 ranks the training rows once for the largest k, and a forest grown at a small
@@ -493,14 +496,23 @@ def _grow_forest(X, y, seeds, min_samples_split, n_features_node) -> _Forest:
     from its key alone. A node therefore splits the same way whatever
     ``min_samples_split`` is, as long as it has at least that many rows, so
     the forest grown at m is the forest grown at 2 cut back at smaller nodes.
+
+    The search sees each node's usable candidates, those whose column min and
+    max over X differ, first and in drawn order, cut to the level's widest
+    usable count. A column constant on X is constant on every node's rows, so
+    it yields no split, and the first usable candidate still wins a tie: the
+    forest is the one a search over all drawn candidates grows.
     """
     n, d = X.shape
     positive = y == 1.0
+    low, high = X.min(axis=0), X.max(axis=0)
+    usable = low < high
     # small non-negative integer features (fingerprint counts) take a
     # bincount split search instead of sorting
-    if X.size and X.min() >= 0 and X.max() <= 255 and np.all(X == np.floor(X)):
-        n_bins = int(X.max()) + 2
-        search = functools.partial(_binned_search, X.astype(np.uint8), n_bins, positive)
+    codes = X.astype(np.uint8) if low.min() >= 0 and high.max() <= 255 else None
+    if codes is not None and np.array_equal(codes, X):
+        n_bins = int(high.max()) + 2
+        search = functools.partial(_binned_search, codes, n_bins, positive)
     else:
         n_bins = 0
         search = functools.partial(_sorted_search, *_rank_codes(X, y), X)
@@ -521,12 +533,20 @@ def _grow_forest(X, y, seeds, min_samples_split, n_features_node) -> _Forest:
             (sizes >= min_samples_split) & (n_pos > 0) & (n_pos < sizes)
         )
         candidates = _draw_candidates(keys[open_nodes], d, n_features_node)
+        # each node's usable candidates first, in drawn order; the rest never
+        # split, so the search covers only the level's widest usable prefix
+        drawn_usable = usable[candidates]
+        candidates = np.take_along_axis(
+            candidates, np.argsort(~drawn_usable, axis=1, kind="stable"), axis=1
+        )
+        width = int(drawn_usable.sum(axis=1).max(initial=0))
+        candidates = candidates[:, :width]
         is_open = np.zeros(count, dtype=bool)
         is_open[open_nodes] = True
         open_rows = rows[is_open[owner]]
         open_sizes = sizes[open_nodes]
         row_bounds = np.r_[0, np.cumsum(open_sizes)]
-        for part in _batches(open_sizes, n_features_node, n_features_node * n_bins):
+        for part in _batches(open_sizes, width, width * n_bins) if width else ():
             split, col, cut = search(
                 open_rows[row_bounds[part.start] : row_bounds[part.stop]],
                 open_sizes[part],

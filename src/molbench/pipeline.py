@@ -254,6 +254,8 @@ def parse_config(document: dict) -> BenchmarkConfig:
         )
     if not 0.0 < config.frac_train < 1.0:
         raise ConfigError(f"split.frac_train must be in (0, 1), got {config.frac_train}")
+    if config.near_win_epsilon < 0.0:
+        raise ConfigError(f"near_win_epsilon must be >= 0, got {config.near_win_epsilon}")
     return config
 
 

@@ -168,6 +168,54 @@ def test_missing_input_file_is_data_error(argv, tmp_path, monkeypatch, capsys):
     assert "absent.csv" in capsys.readouterr().err
 
 
+_SPLIT = ["split", "--input", "{data}", "--smiles-column", "smiles", "--output", "{out}"]
+_REPORT = ["report", "--scores", "{scores}", "--output-dir", "{out}"]
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        pytest.param([*_SPLIT, "--frac-train", "1.5"], "--frac-train", id="frac_train-above-1"),
+        pytest.param([*_SPLIT, "--frac-train", "nan"], "--frac-train", id="frac_train-nan"),
+        pytest.param(
+            [*_REPORT, "--baseline", "alpha", "--near-win-epsilon", "nan"],
+            "--near-win-epsilon",
+            id="near_win-nan",
+        ),
+        pytest.param(
+            [*_REPORT, "--baseline", "alpha", "--near-win-epsilon", "-1"],
+            "--near-win-epsilon",
+            id="near_win-negative",
+        ),
+        pytest.param(
+            [*_REPORT, "--config", "{negative}"], "near_win_epsilon", id="config-near_win-negative"
+        ),
+        pytest.param(
+            ["evaluate", "--config", "{config}", "--output-dir", "{out}", "--jobs", "0"],
+            "--jobs",
+            id="jobs-0",
+        ),
+    ],
+)
+def test_out_of_range_value_is_config_error(
+    argv, named, dataset_csv, scores_csv, tmp_path, capsys
+):
+    config = _evaluate_config(dataset_csv, [("ECFP-count", "ecfp")])
+    paths = {
+        "data": dataset_csv,
+        "scores": scores_csv,
+        "config": tmp_path / "config.json",
+        "negative": tmp_path / "negative.json",
+        "out": tmp_path / "out",
+    }
+    paths["config"].write_text(json.dumps(config))
+    paths["negative"].write_text(json.dumps({**config, "near_win_epsilon": -1.0}))
+    assert main([arg.format(**paths) for arg in argv]) == EXIT_CONFIG
+    assert not paths["out"].exists()
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+
+
 class TestEvaluateCommand:
     def test_evaluate_and_resume(self, dataset_csv, tmp_path):
         config = _evaluate_config(dataset_csv, [("ECFP-count", "ecfp")])

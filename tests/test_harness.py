@@ -616,20 +616,94 @@ class TestForestHead:
 
     @pytest.mark.parametrize(
         "kind, min_samples_split",
-        [("counts", 2), ("counts", 5), ("floats", 2), ("tied floats", 3)],
+        [
+            ("counts", 2),
+            ("counts", 5),
+            ("floats", 2),
+            ("tied floats", 3),
+            ("sparse counts", 2),
+            ("sparse counts", 5),
+            ("mostly constant floats", 2),
+            ("mostly constant floats", 5),
+            ("constant", 2),
+            ("constant", 5),
+        ],
     )
     def test_matches_node_by_node_reference(self, kind, min_samples_split):
+        # the last three kinds hold columns constant on the fit rows, which
+        # the level-wise grower leaves out of its split search
         rng = np.random.default_rng(21)
         X = {
             "counts": lambda size: rng.integers(0, 5, size=size).astype(float),
             "floats": lambda size: rng.normal(size=size),
             "tied floats": lambda size: np.round(rng.normal(size=size), 1),
+            "sparse counts": lambda size: np.column_stack(
+                [
+                    rng.integers(0, 5, size=(size[0], 3)) * (rng.random((size[0], 3)) < 0.4),
+                    np.zeros((size[0], size[1] - 4)),
+                    np.full(size[0], 2.0),
+                ]
+            ),
+            "mostly constant floats": lambda size: np.column_stack(
+                [
+                    rng.normal(size=(size[0], 3)),
+                    np.tile(rng.normal(size=size[1] - 3), (size[0], 1)),
+                ]
+            ),
+            "constant": lambda size: np.tile(rng.normal(size=size[1]), (size[0], 1)),
         }[kind]((90, 16))
         y = (X[:, 0] + X[:, 1] + rng.normal(size=90) > X[:, :2].sum(axis=1).mean()).astype(float)
         test = X[::3] + rng.normal(scale=0.5, size=X[::3].shape)
         head = RandomForestHead(min_samples_split, n_estimators=25, seed=6).fit(X, y)
         expected = _reference_forest_scores(X, y, test, 6, 25, min_samples_split)
         assert np.array_equal(head.predict_proba(test)[:, 1], expected)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.1], ids=["binned", "sorted"])
+    def test_search_sees_only_usable_candidates(self, noise, monkeypatch):
+        # 4 of 36 columns vary on the fit rows, fewer than the 6 drawn per node
+        from molbench.harness import heads
+
+        rng = np.random.default_rng(9)
+        X = np.tile(rng.integers(0, 4, size=36).astype(float), (80, 1))
+        varying = np.array([3, 11, 20, 34])
+        X[:, varying] = rng.integers(0, 4, size=(80, 4)) + rng.normal(scale=noise, size=(80, 4))
+        y = (X[:, 3] + X[:, 20] + rng.normal(size=80) > 3).astype(float)
+        usable = np.zeros(36, dtype=bool)
+        usable[varying] = True
+
+        levels = []
+        draw = heads._draw_candidates
+        search = heads._binned_search if noise == 0 else heads._sorted_search
+
+        def recording_draw(keys, d, k):
+            drawn = draw(keys, d, k)
+            levels.append((drawn, []))
+            return drawn
+
+        def recording_search(*args):
+            levels[-1][1].append(args[-1])
+            return search(*args)
+
+        monkeypatch.setattr(heads, "_draw_candidates", recording_draw)
+        monkeypatch.setattr(heads, search.__name__, recording_search)
+        RandomForestHead(n_estimators=30, seed=1).fit(X, y)
+
+        searched_levels = padded_nodes = 0
+        for drawn, blocks in levels:
+            assert drawn.shape[1] == 6
+            if not blocks:
+                assert not usable[drawn].any()
+                continue
+            searched_levels += 1
+            assert max(block.shape[1] for block in blocks) <= 4
+            searched = np.concatenate(blocks)
+            assert len(searched) == len(drawn)  # every open node, once
+            for node_drawn, node_searched in zip(drawn, searched):
+                kept = node_drawn[usable[node_drawn]]
+                assert np.array_equal(node_searched[: len(kept)], kept)
+                assert not usable[node_searched[len(kept) :]].any()
+                padded_nodes += len(kept) < len(node_searched)
+        assert searched_levels > 2 and padded_nodes > 0
 
     def test_predict_below_grown_split_rejected(self):
         X = np.tile(np.array([[0.0], [1.0]]), (10, 1))
