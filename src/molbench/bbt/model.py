@@ -78,6 +78,8 @@ class BBTConfig:
             raise ValueError("draws_per_chain must be >= 4 and warmup >= 0")
         if self.epsilon_tie < 0:
             raise ValueError(f"epsilon_tie must be >= 0, got {self.epsilon_tie}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -112,6 +112,12 @@ def _cmd_split(args) -> int:
     return EXIT_OK
 
 
+def _check_seed(args) -> None:
+    """Reject a negative ``--seed`` before any input is read."""
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+
+
 def _load_config_with_overrides(args):
     config = load_config(args.config)
     if args.seed is not None:
@@ -126,6 +132,7 @@ def _load_config_with_overrides(args):
 def _cmd_evaluate(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+    _check_seed(args)
     config = _load_config_with_overrides(args)
     table = run_evaluation(
         config, args.output_dir, jobs=args.jobs, resume=args.resume
@@ -138,6 +145,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    _check_seed(args)
     scores = ScoreTable.from_csv(args.scores)
     if args.config:
         bbt_cfg = _load_config_with_overrides(args).bbt

@@ -12,9 +12,8 @@ from .parser import (
 from .perception import (
     UNREACHABLE,
     ValenceError,
-    assign_implicit_hydrogens,
     bridge_bonds,
-    perceive_rings,
+    perceive,
     shortest_path_distances,
 )
 from .scaffold import (
@@ -34,8 +33,7 @@ __all__ = [
     "EMPTY_SCAFFOLD_KEY",
     "UNREACHABLE",
     "parse_smiles",
-    "perceive_rings",
-    "assign_implicit_hydrogens",
+    "perceive",
     "bridge_bonds",
     "shortest_path_distances",
     "murcko_scaffold",

@@ -1,8 +1,12 @@
-"""Immutable molecular graph model: atoms, bonds, adjacency, fragments."""
+"""Immutable molecular graph model: atoms, bonds, adjacency, fragments.
+
+An atom's index is its position in ``Molecule.atoms``; ``Molecule`` keeps
+the atoms and bonds it is given and derives adjacency and fragments once.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Optional, Sequence
 
@@ -75,7 +79,6 @@ class Atom:
     explicit_h: Optional[int] = None  # None outside bracket atoms
     aromatic: bool = False
     implicit_h: int = 0
-    index: int = 0
     in_ring: bool = False
 
     @property
@@ -105,7 +108,7 @@ class Molecule:
     __slots__ = ("atoms", "bonds", "neighbors", "fragment_ids", "fragment_count")
 
     def __init__(self, atoms: Sequence[Atom], bonds: Sequence[Bond]):
-        atoms = tuple(replace(a, index=i) for i, a in enumerate(atoms))
+        atoms = tuple(atoms)
         bonds = tuple(bonds)
         n = len(atoms)
         seen_pairs = set()

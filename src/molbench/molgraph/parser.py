@@ -6,6 +6,10 @@ isotope, charge and H-count, branches, ring closures (digits and %nn), bond
 symbols ``- = # :``, and dot-separated fragments. Stereo markers (``/ \\ @``)
 are accepted and discarded. Atom-map classes, wildcards and dative bonds are
 outside the subset and rejected.
+
+The parser collects ``Atom`` and ``Bond`` records as it reads, with each
+atom's text offset kept beside it for error messages, and hands the raw
+graph to ``perceive`` for ring flags, aromaticity and implicit hydrogens.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .model import Atom, Bond, BondOrder, Molecule, ORGANIC_VALENCES, PERIODIC_TABLE
-from .perception import ValenceError, assign_implicit_hydrogens, perceive_rings
+from .perception import ValenceError, perceive
 
 
 class SmilesParseError(ValueError):
@@ -54,27 +58,11 @@ _BOND_SYMBOLS = {
 
 
 @dataclass
-class _AtomDraft:
-    atomic_number: int
-    offset: int
-    aromatic: bool = False
-    formal_charge: int = 0
-    isotope: Optional[int] = None
-    explicit_h: Optional[int] = None
-
-
-@dataclass
-class _BondDraft:
-    a1: int
-    a2: int
-    order: BondOrder
-
-
-@dataclass
 class _State:
     text: str
     pos: int = 0
     atoms: list = field(default_factory=list)
+    offsets: list = field(default_factory=list)  # text offset of each atom
     bonds: list = field(default_factory=list)
     bond_pairs: set = field(default_factory=set)
     prev: Optional[int] = None
@@ -149,31 +137,19 @@ def parse_smiles(text: str) -> Molecule:
     if not state.fragment_has_atom:
         raise EmptyFragmentError("empty fragment", n - 1)
 
-    atoms = [
-        Atom(
-            atomic_number=d.atomic_number,
-            formal_charge=d.formal_charge,
-            isotope=d.isotope,
-            explicit_h=d.explicit_h,
-            aromatic=d.aromatic,
-        )
-        for d in state.atoms
-    ]
-    bonds = [Bond(b.a1, b.a2, b.order) for b in state.bonds]
-    offsets = {i: d.offset for i, d in enumerate(state.atoms)}
-    mol = perceive_rings(Molecule(atoms, bonds))
-    return assign_implicit_hydrogens(mol, offsets)
+    return perceive(Molecule(state.atoms, state.bonds), state.offsets)
 
 
-def _add_atom(state: _State, draft: _AtomDraft) -> None:
+def _add_atom(state: _State, atom: Atom, offset: int) -> None:
     idx = len(state.atoms)
-    state.atoms.append(draft)
+    state.atoms.append(atom)
+    state.offsets.append(offset)
     if state.prev is not None:
         order = state.pending_order
         if order is None:
-            both_aromatic = state.atoms[state.prev].aromatic and draft.aromatic
+            both_aromatic = state.atoms[state.prev].aromatic and atom.aromatic
             order = BondOrder.AROMATIC if both_aromatic else BondOrder.SINGLE
-        _add_bond(state, state.prev, idx, order, draft.offset)
+        _add_bond(state, state.prev, idx, order, offset)
     state.prev = idx
     state.pending_order = None
     state.fragment_has_atom = True
@@ -188,7 +164,7 @@ def _add_bond(
     if pair in state.bond_pairs:
         raise SmilesParseError(f"duplicate bond between atoms {pair}", offset)
     state.bond_pairs.add(pair)
-    state.bonds.append(_BondDraft(a1, a2, order))
+    state.bonds.append(Bond(a1, a2, order))
 
 
 def _ring_closure(state: _State) -> None:
@@ -228,7 +204,7 @@ def _organic_atom(state: _State) -> None:
     ch = text[pos]
     if ch in _AROMATIC_ORGANIC:
         symbol = _AROMATIC_ORGANIC[ch]
-        draft = _AtomDraft(PERIODIC_TABLE[symbol], pos, aromatic=True)
+        atom = Atom(PERIODIC_TABLE[symbol], aromatic=True)
         state.pos = pos + 1
     else:
         two = text[pos : pos + 2]
@@ -242,8 +218,8 @@ def _organic_atom(state: _State) -> None:
             raise UnknownElementError(
                 f"unknown or unsupported symbol {ch!r}", pos
             )
-        draft = _AtomDraft(PERIODIC_TABLE[symbol], pos)
-    _add_atom(state, draft)
+        atom = Atom(PERIODIC_TABLE[symbol])
+    _add_atom(state, atom, pos)
 
 
 def _bracket_atom(state: _State) -> None:
@@ -316,16 +292,15 @@ def _bracket_atom(state: _State) -> None:
             f"unexpected {text[pos]!r} in bracket atom", pos
         )
 
-    draft = _AtomDraft(
+    atom = Atom(
         PERIODIC_TABLE[symbol],
-        start,
-        aromatic=aromatic,
         formal_charge=charge,
         isotope=isotope,
         explicit_h=explicit_h,
+        aromatic=aromatic,
     )
     state.pos = end + 1
-    _add_atom(state, draft)
+    _add_atom(state, atom, start)
 
 
 __all__ = [

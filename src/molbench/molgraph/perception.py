@@ -1,9 +1,15 @@
-"""Ring perception, simplified aromaticity, implicit hydrogens, distances."""
+"""Graph perception and distances.
+
+``perceive`` derives everything a parsed graph lacks (ring flags, simplified
+aromaticity with Kekule-ring normalisation, implicit hydrogens) from local
+lists and builds each atom once. ``bridge_bonds`` finds ring bonds and
+``shortest_path_distances`` gives all-pairs hop counts.
+"""
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import replace
+from typing import Sequence
 
 import numpy as np
 
@@ -105,26 +111,30 @@ def _bond_index(mol: Molecule, a: int, b: int) -> int:
     raise KeyError((a, b))
 
 
-def perceive_rings(mol: Molecule) -> Molecule:
-    """Assign in_ring flags and normalize aromaticity.
+def perceive(mol: Molecule, offsets: Sequence[int] = ()) -> Molecule:
+    """Ring flags, simplified aromaticity and implicit hydrogens, in one pass.
 
     A bond is in a ring iff it is not a bridge. Aromaticity is simplified
     and per-ring: atoms flagged aromatic on input stay aromatic only inside
     rings, and any 6-cycle of alternating single/double bonds among C/N/O/S
     (a 6 pi-electron Huckel ring) is rewritten to aromatic atoms and bonds.
     Fused-system aromaticity beyond single rings is not perceived.
+
+    Implicit hydrogens fill each organic-subset atom up to its lowest allowed
+    valence; bracket atoms get none. Aromatic pi donors (B/C/N/P) get one
+    extra valence unit for their ring double bond unless they already carry
+    an exocyclic double or triple bond. Raises ValenceError when an atom
+    exceeds its largest allowed valence, carrying ``offsets[i]`` (the atom's
+    text offset, when given) as its offset.
     """
     bridges = bridge_bonds(mol)
     bond_in_ring = [i not in bridges for i in range(mol.n_bonds)]
-    atom_aromatic = [a.aromatic for a in mol.atoms]
-    bond_order = [b.order for b in mol.bonds]
-
+    atom_in_ring = [
+        any(bond_in_ring[b] for _, b in nbrs) for nbrs in mol.neighbors
+    ]
     # input-flagged aromatic atoms survive only inside rings
-    for i, atom in enumerate(mol.atoms):
-        if atom.aromatic and not any(
-            bond_in_ring[bond_idx] for _, bond_idx in mol.neighbors[i]
-        ):
-            atom_aromatic[i] = False
+    atom_aromatic = [a.aromatic and r for a, r in zip(mol.atoms, atom_in_ring)]
+    bond_order = [b.order for b in mol.bonds]
 
     # Kekule normalization: alternating 6-cycles become aromatic
     for cycle in _simple_six_cycles(mol):
@@ -156,62 +166,46 @@ def perceive_rings(mol: Molecule) -> Molecule:
         ):
             bond_order[bond_idx] = BondOrder.SINGLE
 
-    atoms = [
-        replace(
-            atom,
-            aromatic=atom_aromatic[i],
-            in_ring=any(bond_in_ring[b] for _, b in mol.neighbors[i]),
+    atoms = []
+    for i, atom in enumerate(mol.atoms):
+        implicit_h = 0
+        if atom.explicit_h is None:
+            orders = [bond_order[b] for _, b in mol.neighbors[i]]
+            order_sum = sum(ORDER_VALENCE[order] for order in orders)
+            if (
+                atom_aromatic[i]
+                and atom.symbol in AROMATIC_PI_DONORS
+                and BondOrder.DOUBLE not in orders
+                and BondOrder.TRIPLE not in orders
+            ):
+                order_sum += 1
+            states = ORGANIC_VALENCES[atom.symbol]
+            for state in states:
+                if order_sum <= state:
+                    implicit_h = state - order_sum
+                    break
+            else:
+                raise ValenceError(
+                    f"valence overflow on atom {i} ({atom.symbol}): bond order "
+                    f"sum {order_sum} exceeds allowed valences {states}",
+                    offset=offsets[i] if i < len(offsets) else -1,
+                )
+        atoms.append(
+            Atom(
+                atomic_number=atom.atomic_number,
+                formal_charge=atom.formal_charge,
+                isotope=atom.isotope,
+                explicit_h=atom.explicit_h,
+                aromatic=atom_aromatic[i],
+                implicit_h=implicit_h,
+                in_ring=atom_in_ring[i],
+            )
         )
-        for i, atom in enumerate(mol.atoms)
-    ]
     bonds = [
         Bond(b.a1, b.a2, bond_order[i], bond_in_ring[i])
         for i, b in enumerate(mol.bonds)
     ]
     return Molecule(atoms, bonds)
-
-
-def assign_implicit_hydrogens(
-    mol: Molecule, offsets: dict[int, int] | None = None
-) -> Molecule:
-    """Fill implicit_h from the valence table; bracket atoms stay at zero.
-
-    Aromatic pi donors (B/C/N/P) get one extra valence unit for their ring
-    double bond unless they already carry an exocyclic double or triple bond.
-    Raises ValenceError when an organic-subset atom exceeds its largest
-    allowed valence.
-    """
-    offsets = offsets or {}
-    atoms = []
-    for i, atom in enumerate(mol.atoms):
-        if atom.explicit_h is not None:
-            atoms.append(replace(atom, implicit_h=0))
-            continue
-        order_sum = 0
-        has_multiple_bond = False
-        for _, bond_idx in mol.neighbors[i]:
-            order = mol.bonds[bond_idx].order
-            order_sum += ORDER_VALENCE[order]
-            if order in (BondOrder.DOUBLE, BondOrder.TRIPLE):
-                has_multiple_bond = True
-        if (
-            atom.aromatic
-            and atom.symbol in AROMATIC_PI_DONORS
-            and not has_multiple_bond
-        ):
-            order_sum += 1
-        states = ORGANIC_VALENCES[atom.symbol]
-        for state in states:
-            if order_sum <= state:
-                atoms.append(replace(atom, implicit_h=state - order_sum))
-                break
-        else:
-            raise ValenceError(
-                f"valence overflow on atom {i} ({atom.symbol}): bond order sum "
-                f"{order_sum} exceeds allowed valences {states}",
-                offset=offsets.get(i, -1),
-            )
-    return Molecule(atoms, mol.bonds)
 
 
 def shortest_path_distances(mol: Molecule) -> np.ndarray:

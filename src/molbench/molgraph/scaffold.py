@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from ..hashing import hash_ints
 from .model import BondOrder, Molecule, induced_subgraph
-from .perception import assign_implicit_hydrogens, perceive_rings
+from .perception import perceive
 
 _TAG_ATOM = 1
 _TAG_REFINE = 2
@@ -65,8 +65,7 @@ def murcko_scaffold(mol: Molecule) -> Scaffold:
         if nbr not in core
         and mol.bonds[bond_idx].order in (BondOrder.DOUBLE, BondOrder.TRIPLE)
     }
-    scaffold_mol = induced_subgraph(mol, core | attached)
-    scaffold_mol = assign_implicit_hydrogens(perceive_rings(scaffold_mol))
+    scaffold_mol = perceive(induced_subgraph(mol, core | attached))
     return Scaffold(scaffold_mol, _wl_graph_key(scaffold_mol))
 
 

@@ -256,6 +256,8 @@ def parse_config(document: dict) -> BenchmarkConfig:
         raise ConfigError(f"split.frac_train must be in (0, 1), got {config.frac_train}")
     if config.near_win_epsilon < 0.0:
         raise ConfigError(f"near_win_epsilon must be >= 0, got {config.near_win_epsilon}")
+    if config.classifier_seed < 0:
+        raise ConfigError(f"classifier_seed must be >= 0, got {config.classifier_seed}")
     return config
 
 

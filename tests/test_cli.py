@@ -170,6 +170,8 @@ def test_missing_input_file_is_data_error(argv, tmp_path, monkeypatch, capsys):
 
 _SPLIT = ["split", "--input", "{data}", "--smiles-column", "smiles", "--output", "{out}"]
 _REPORT = ["report", "--scores", "{scores}", "--output-dir", "{out}"]
+_EVALUATE = ["evaluate", "--config", "{config}", "--output-dir", "{out}"]
+_COMPARE = ["compare", "--scores", "{scores}", "--output-dir", "{out}"]
 
 
 @pytest.mark.parametrize(
@@ -190,10 +192,21 @@ _REPORT = ["report", "--scores", "{scores}", "--output-dir", "{out}"]
         pytest.param(
             [*_REPORT, "--config", "{negative}"], "near_win_epsilon", id="config-near_win-negative"
         ),
+        pytest.param([*_EVALUATE, "--jobs", "0"], "--jobs", id="jobs-0"),
+        pytest.param([*_EVALUATE, "--seed", "-1"], "--seed", id="evaluate-seed-negative"),
         pytest.param(
-            ["evaluate", "--config", "{config}", "--output-dir", "{out}", "--jobs", "0"],
-            "--jobs",
-            id="jobs-0",
+            ["evaluate", "--config", "{classifier_seed}", "--output-dir", "{out}"],
+            "classifier_seed",
+            id="config-classifier_seed-negative",
+        ),
+        pytest.param([*_COMPARE, "--seed", "-1"], "--seed", id="compare-seed-negative"),
+        pytest.param(
+            [*_COMPARE, "--config", "{config}", "--seed", "-1"],
+            "--seed",
+            id="compare-config-seed-negative",
+        ),
+        pytest.param(
+            [*_COMPARE, "--config", "{bbt_seed}"], "seed", id="config-bbt-seed-negative"
         ),
     ],
 )
@@ -206,10 +219,14 @@ def test_out_of_range_value_is_config_error(
         "scores": scores_csv,
         "config": tmp_path / "config.json",
         "negative": tmp_path / "negative.json",
+        "classifier_seed": tmp_path / "classifier_seed.json",
+        "bbt_seed": tmp_path / "bbt_seed.json",
         "out": tmp_path / "out",
     }
     paths["config"].write_text(json.dumps(config))
     paths["negative"].write_text(json.dumps({**config, "near_win_epsilon": -1.0}))
+    paths["classifier_seed"].write_text(json.dumps({**config, "classifier_seed": -1}))
+    paths["bbt_seed"].write_text(json.dumps({**config, "bbt": {"seed": -3}}))
     assert main([arg.format(**paths) for arg in argv]) == EXIT_CONFIG
     assert not paths["out"].exists()
     err = capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Fingerprint identifiers, folding, and enumeration invariants."""
 
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -173,6 +174,22 @@ class TestFold:
         with pytest.raises(ValueError):
             fold_identifiers([1], 1, True)
 
+    def test_matches_loop_reference(self):
+        def reference(identifiers, length, counted):
+            values = np.zeros(length, dtype=np.int64)
+            for ident in identifiers:
+                values[ident % length] += 1
+            return values if counted else (values > 0).astype(np.int64)
+
+        mol = parse_smiles("CC(C)c1ccc(O)cc1N")
+        cases = [[], [2**64 - 1, 0, 2**63], atom_pair_identifiers(mol), ecfp_identifiers(mol, 2)]
+        for identifiers in cases:
+            for length in (2, 64, 2048):
+                for counted in (True, False):
+                    got = fold_identifiers(identifiers, length, counted)
+                    assert got.dtype == np.int64
+                    assert np.array_equal(got, reference(identifiers, length, counted))
+
 
 class TestConfigValidation:
     def test_power_of_two_required(self):
@@ -213,3 +230,33 @@ class TestFeaturize:
             for cfg in configs:
                 rows = featurize(pair, cfg)
                 assert np.array_equal(rows[0], rows[1]), (cfg.kind, first, second)
+
+
+class TestOnDiskContract:
+    """Folded vectors are an on-disk contract: these digests must never change."""
+
+    @pytest.mark.parametrize(
+        "cfg, expected",
+        [
+            (
+                FingerprintConfig("ecfp"),
+                "4cc6ae101bc8704891e7a33ea2ec747825b07213d263a5c438893235fe1e6051",
+            ),
+            (
+                FingerprintConfig("atom_pair"),
+                "234cbedbbd94ae8c21d29f243a9f1ac9618392bb244ddceeaf837fa7429f9d37",
+            ),
+            (
+                FingerprintConfig("topological_torsion"),
+                "ec147b24a5e023b53b0a0034278798c2f88f11410ad9668fae60072f53873969",
+            ),
+            (
+                FingerprintConfig("ecfp", radius=3, length=1024, counted=False),
+                "c313144e7267e729c3d2c43ecf720b273c6e3526301a16965f5acf3cfa71bae9",
+            ),
+        ],
+        ids=["ecfp", "atom_pair", "topological_torsion", "ecfp6-binary-1024"],
+    )
+    def test_toy_set_featurize_digest(self, toy_molecules, cfg, expected):
+        matrix = featurize(toy_molecules, cfg)
+        assert hashlib.sha256(matrix.astype("<i8").tobytes()).hexdigest() == expected

@@ -1,11 +1,14 @@
 """Parser, ring perception, distances and scaffold behavior."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from molbench.molgraph import (
     BondOrder,
     EmptyFragmentError,
+    Molecule,
     SmilesParseError,
     UNREACHABLE,
     UnclosedRingError,
@@ -19,6 +22,7 @@ from molbench.molgraph import (
     scaffold_key,
     shortest_path_distances,
 )
+from molbench.harness import scaffold_split
 
 from molgen import random_molecule, render_smiles
 
@@ -59,10 +63,31 @@ class TestParseSmiles:
             parse_smiles("[Zz]")
 
     def test_valence_overflow(self):
-        with pytest.raises(ValenceError):
+        with pytest.raises(ValenceError) as exc:
             parse_smiles("C(C)(C)(C)(C)C")
+        assert exc.value.offset == 0
         with pytest.raises(ValenceError):
             parse_smiles("N(C)(C)(C)C")
+        with pytest.raises(ValenceError) as exc:
+            parse_smiles("CCN(C)(C)(C)C")
+        assert exc.value.offset == 2
+
+    def test_each_graph_built_once_per_pass(self, monkeypatch):
+        # the raw parsed graph, then the perceived one; the scaffold likewise
+        mol = parse_smiles("CCc1ccccc1CC1CC1")
+        built = []
+        original = Molecule.__init__
+
+        def counting_init(self, atoms, bonds):
+            built.append(len(atoms))
+            original(self, atoms, bonds)
+
+        monkeypatch.setattr(Molecule, "__init__", counting_init)
+        parse_smiles("CCc1ccccc1CC1CC1")
+        assert built == [12, 12]
+        built.clear()
+        murcko_scaffold(mol)
+        assert built == [10, 10]
 
     def test_hypervalent_states_allowed(self):
         sulfate = parse_smiles("OS(=O)(=O)O")
@@ -304,3 +329,43 @@ class TestGraphInvariants:
         mol = parse_smiles("C1CC1CC1CC1")
         bridges = bridge_bonds(mol)
         assert len(bridges) == 2  # the two linker bonds
+
+
+def _graph_fields(mol) -> tuple:
+    """Every parsed atom field, each bond's ends, order and ring flag, and
+    the adjacency lists."""
+    atoms = tuple(
+        (a.atomic_number, a.formal_charge, a.isotope, a.explicit_h, a.aromatic,
+         a.implicit_h, a.in_ring)
+        for a in mol.atoms
+    )
+    bonds = tuple((b.a1, b.a2, int(b.order), b.in_ring) for b in mol.bonds)
+    return atoms, bonds, mol.neighbors
+
+
+def _sha256(values) -> str:
+    return hashlib.sha256("\n".join(repr(v) for v in values).encode()).hexdigest()
+
+
+class TestOnDiskContract:
+    """Graphs, scaffold keys and splits on the toy set: these must never change."""
+
+    def test_parsed_graph_digest(self, toy_molecules):
+        assert _sha256(_graph_fields(m) for m in toy_molecules) == (
+            "a4f38768a70db346ad18911911adbf81d445cfd1039a8f5ec0d8301a8cce4900"
+        )
+
+    def test_scaffold_digests(self, toy_molecules):
+        scaffolds = [murcko_scaffold(m) for m in toy_molecules]
+        assert _sha256(s.key for s in scaffolds) == (
+            "e4e9e30aca9f381c043fa4d81a28f7af9fbc200e8dbe68d8ff7466a27f39b489"
+        )
+        assert _sha256(_graph_fields(s.molecule) for s in scaffolds) == (
+            "de0a21cd86acd9536e103e992973b4b921c247200add60b3ee83ed7d6e89d532"
+        )
+
+    def test_scaffold_split_digest(self, toy_molecules):
+        split = scaffold_split(toy_molecules)
+        assert _sha256([split.train_idx, split.test_idx]) == (
+            "9076d02d0b1d262acd6d9861063c6a0ca290a60502ae41ec9a497cae84f695ef"
+        )
