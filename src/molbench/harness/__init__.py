@@ -14,12 +14,7 @@ from .evaluate import (
     stratified_folds,
     tune_and_evaluate,
 )
-from .heads import (
-    KNeighborsHead,
-    LogisticRegressionHead,
-    RandomForestHead,
-    logistic_loss_and_grad,
-)
+from .heads import forest_scores, knn_scores, logistic_loss_and_grad, logreg_scores
 from .metrics import auroc, average_ranks
 from .scores import BEST_HEAD, HEAD_ORDER, ScoreRecord, ScoreTable
 from .splits import Split, scaffold_split
@@ -35,9 +30,9 @@ __all__ = [
     "scaffold_split",
     "auroc",
     "average_ranks",
-    "KNeighborsHead",
-    "LogisticRegressionHead",
-    "RandomForestHead",
+    "knn_scores",
+    "logreg_scores",
+    "forest_scores",
     "logistic_loss_and_grad",
     "ClassifierSpec",
     "default_specs",

@@ -2,11 +2,11 @@
 
 A cell is scored on one fold plan, built before any head runs: per task, the
 5-fold stratified (fit, validation) pairs of its train rows and its (train,
-test) pair. One grid scorer fits every head and one reduction averages AUROC
-over each task's pairs, then over tasks. Tuning applies them to a head's
-grid on the CV pairs; the winning value (ties: first in grid order) is
-scored the same way on the (train, test) pairs. "best" is the maximum test
-AUROC over the three heads.
+test) pair. Each head scores its whole grid on a pair in one call, and one
+reduction averages AUROC over each task's pairs, then over tasks. Tuning
+applies them to a head's grid on the CV pairs; the winning value (ties:
+first in grid order) is scored the same way on the (train, test) pairs.
+"best" is the maximum test AUROC over the three heads.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from ..errors import DataError
 from .datasets import Dataset
-from .heads import KNeighborsHead, LogisticRegressionHead, RandomForestHead
+from .heads import forest_scores, knn_scores, logreg_scores
 from .metrics import auroc
 from .scores import BEST_HEAD, HEAD_ORDER, ScoreRecord
 from .splits import Split
@@ -93,25 +93,12 @@ def _fold_plan(labels: np.ndarray, split: Split) -> tuple[list, list]:
 
 
 def _grid_scores(spec: ClassifierSpec, grid, X_fit, y_fit, X_eval) -> list[np.ndarray]:
-    """Positive-class scores on X_eval for every value of ``grid``, in order.
-
-    The forest is grown once at the smallest ``min_samples_split`` and cut
-    back for the larger ones, and kNN ranks the neighbors once for the
-    largest k; both equal a separate fit per grid value. Logreg fits once
-    per grid value.
-    """
-    if spec.head == "random_forest":
-        forest = RandomForestHead(min(grid), N_TREES, spec.seed).fit(X_fit, y_fit)
-        return [forest.predict_proba(X_eval, m)[:, 1] for m in grid]
+    """Positive-class scores on X_eval for every value of ``grid``, in order."""
     if spec.head == "knn":
-        if min(grid) < 1:  # the fit below checks only the largest k
-            raise ValueError(f"n_neighbors must be >= 1, got {min(grid)}")
-        neighbors = KNeighborsHead(max(grid)).fit(X_fit, y_fit).neighbor_labels(X_eval)
-        return [neighbors[:, :k].mean(axis=1) for k in grid]
-    return [
-        LogisticRegressionHead(lam).fit(X_fit, y_fit).predict_proba(X_eval)[:, 1]
-        for lam in grid
-    ]
+        return knn_scores(X_fit, y_fit, X_eval, grid)
+    if spec.head == "logreg":
+        return logreg_scores(X_fit, y_fit, X_eval, grid)
+    return forest_scores(X_fit, y_fit, X_eval, grid, seed=spec.seed, n_trees=N_TREES)
 
 
 def _mean_auroc(spec: ClassifierSpec, grid, features, labels, plan) -> list[float]:

@@ -1,13 +1,21 @@
 """Classifier heads trained on frozen representations.
 
-All three expose ``fit`` / ``predict_proba``, check their inputs (a finite
-2-D X, a 0/1 y aligned with it), raise ``NotFittedError`` when asked to
-predict before ``fit`` and are fully deterministic: kNN breaks distance ties
-by training index, the logistic head uses a monotone quasi-Newton optimizer,
-and the forest draws its bootstrap from a per-tree seed stream and each
-node's candidate features from a hash of a key fixed by (tree seed, path
-from the root), so results do not depend on scheduling or on where a tree
-stops growing.
+Each head is one function, ``(X_fit, y_fit, X_eval, grid) -> scores``: it
+checks its inputs (a finite 2-D X, a 0/1 y aligned with it, a non-empty fit
+set) and every value of its grid before it fits anything, and returns the
+positive-class scores on X_eval for each grid value, in grid order. One call
+serves the whole grid and gives what a separate fit per value would:
+``knn_scores`` ranks the fit rows once for the largest k,
+``logreg_scores`` standardises once and fits each penalty in turn, and
+``forest_scores`` grows one forest at the smallest ``min_samples_split`` and
+cuts it back for the larger ones.
+
+All three are fully deterministic: kNN breaks distance ties by fit-row
+index, the logistic fit uses a monotone quasi-Newton optimizer, and the
+forest draws its bootstrap from a per-tree seed stream and each node's
+candidate features from a hash of a key fixed by (tree seed, path from the
+root), so results do not depend on scheduling or on where a tree stops
+growing.
 
 The forest grows all its trees together, level by level: each level draws
 the candidate features of every open node in one vectorised step, finds all
@@ -17,10 +25,6 @@ partitions all their rows at once. The search covers only candidates that
 vary on the fit rows: a column constant there (most columns of a folded
 fingerprint on a small dataset) can split no node, so leaving it out changes
 no forest.
-
-Two heads serve a whole hyperparameter grid from one fit: ``neighbor_labels``
-ranks the training rows once for the largest k, and a forest grown at a small
-``min_samples_split`` predicts for any larger one by stopping at smaller nodes.
 """
 
 from __future__ import annotations
@@ -30,85 +34,58 @@ import math
 
 import numpy as np
 
-
-class NotFittedError(RuntimeError):
-    """Raised when a head is asked to predict before ``fit``."""
+from ..hashing import mix64
 
 
-def check_array(X, *, name: str = "X", dtype=np.float64, ndim: int = 2) -> np.ndarray:
-    """Coerce to a contiguous ndarray and reject non-finite entries."""
-    arr = np.asarray(X, dtype=dtype)
-    if arr.ndim != ndim:
-        raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
+def check_array(X) -> np.ndarray:
+    """Coerce to a contiguous 2-D float64 array and reject non-finite entries."""
+    arr = np.asarray(X, dtype=np.float64)
+    if arr.ndim != 2:
+        raise ValueError(f"X must be 2-dimensional, got shape {arr.shape}")
     if arr.size and not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite values")
+        raise ValueError("X contains non-finite values")
     return np.ascontiguousarray(arr)
 
 
 def check_X_y(X, y):
-    """Validate a feature matrix with an aligned binary label vector."""
+    """Validate a non-empty training matrix with an aligned binary label vector."""
     X = check_array(X)
     y = np.asarray(y, dtype=np.float64).ravel()
     if len(y) != X.shape[0]:
         raise ValueError(f"X has {X.shape[0]} rows but y has {len(y)} entries")
+    if X.shape[0] == 0:
+        raise ValueError("empty training set")
     labels = np.unique(y)
     if not np.all(np.isin(labels, (0.0, 1.0))):
         raise ValueError(f"y must be binary 0/1, got values {labels}")
     return X, y
 
 
-def check_fitted(estimator, attribute: str) -> None:
-    if getattr(estimator, attribute, None) is None:
-        raise NotFittedError(
-            f"{type(estimator).__name__} instance is not fitted; call fit() first"
+def knn_scores(X_fit, y_fit, X_eval, grid) -> list[np.ndarray]:
+    """Euclidean k-nearest-neighbor vote for each neighbor count k of ``grid``.
+
+    The fit rows are ranked once for the largest k; the first k columns of
+    that ranking are the neighborhood of every smaller k.
+    """
+    if min(grid) < 1:
+        raise ValueError(f"n_neighbors must be >= 1, got {min(grid)}")
+    X_fit, y_fit = check_X_y(X_fit, y_fit)
+    X_eval = check_array(X_eval)
+    width = min(max(grid), X_fit.shape[0])
+    fit_sq = np.einsum("ij,ij->i", X_fit, X_fit)
+    labels = np.empty((X_eval.shape[0], width), dtype=np.float64)
+    chunk = max(1, 2_000_000 // X_fit.shape[0])
+    for start in range(0, X_eval.shape[0], chunk):
+        block = X_eval[start : start + chunk]
+        d2 = (
+            np.einsum("ij,ij->i", block, block)[:, None]
+            + fit_sq[None, :]
+            - 2.0 * block @ X_fit.T
         )
-
-
-class KNeighborsHead:
-    """Euclidean k-nearest-neighbor vote on raw feature vectors."""
-
-    def __init__(self, n_neighbors: int = 5):
-        self.n_neighbors = n_neighbors
-        self._X = None
-        self._y = None
-
-    def fit(self, X, y):
-        if self.n_neighbors < 1:
-            raise ValueError(f"n_neighbors must be >= 1, got {self.n_neighbors}")
-        X, y = check_X_y(X, y)
-        if X.shape[0] == 0:
-            raise ValueError("empty training set")
-        self._X = X
-        self._y = y
-        return self
-
-    def neighbor_labels(self, X) -> np.ndarray:
-        """Labels of the ``n_neighbors`` nearest training rows, nearest first.
-
-        The first k columns are the neighborhood of every smaller k, so one
-        call serves a whole grid of neighbor counts.
-        """
-        check_fitted(self, "_X")
-        X = check_array(X)
-        k = min(self.n_neighbors, self._X.shape[0])
-        train_sq = np.einsum("ij,ij->i", self._X, self._X)
-        labels = np.empty((X.shape[0], k), dtype=np.float64)
-        chunk = max(1, 2_000_000 // max(1, self._X.shape[0]))
-        for start in range(0, X.shape[0], chunk):
-            block = X[start : start + chunk]
-            d2 = (
-                np.einsum("ij,ij->i", block, block)[:, None]
-                + train_sq[None, :]
-                - 2.0 * block @ self._X.T
-            )
-            # stable argsort: equal distances resolve to the lower train index
-            nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
-            labels[start : start + len(block)] = self._y[nearest]
-        return labels
-
-    def predict_proba(self, X) -> np.ndarray:
-        scores = self.neighbor_labels(X).mean(axis=1)
-        return np.column_stack((1.0 - scores, scores))
+        # stable argsort: equal distances resolve to the lower fit index
+        nearest = np.argsort(d2, axis=1, kind="stable")[:, :width]
+        labels[start : start + len(block)] = y_fit[nearest]
+    return [labels[:, :k].mean(axis=1) for k in grid]
 
 
 def logistic_loss_and_grad(theta: np.ndarray, X: np.ndarray, y: np.ndarray, reg_strength: float):
@@ -200,44 +177,35 @@ _LOGREG_TOL = 1e-6  # L-BFGS stops at this gradient norm ...
 _LOGREG_MAX_ITER = 10_000  # ... or after this many iterations
 
 
-class LogisticRegressionHead:
-    """L2-penalized logistic regression on internally standardized features."""
+def _fit_logreg(Xs: np.ndarray, y: np.ndarray, reg_strength: float):
+    """Coefficients [w, b] on standardized features, and the loss at every
+    accepted L-BFGS step (strictly decreasing)."""
+    return _lbfgs_minimize(
+        lambda theta: logistic_loss_and_grad(theta, Xs, y, reg_strength),
+        np.zeros(Xs.shape[1] + 1),
+        tol=_LOGREG_TOL,
+        max_iter=_LOGREG_MAX_ITER,
+    )
 
-    def __init__(self, reg_strength: float = 1.0):
-        self.reg_strength = reg_strength
-        self._theta = None
-        self._mean = None
-        self._scale = None
-        self.loss_history_ = None
 
-    def fit(self, X, y):
-        if self.reg_strength <= 0:
-            raise ValueError(f"reg_strength must be > 0, got {self.reg_strength}")
-        X, y = check_X_y(X, y)
-        self._mean = X.mean(axis=0)
-        scale = X.std(axis=0)
-        scale[scale == 0.0] = 1.0  # constant columns stay zero after centering
-        self._scale = scale
-        Xs = (X - self._mean) / self._scale
+def logreg_scores(X_fit, y_fit, X_eval, grid) -> list[np.ndarray]:
+    """L2-penalized logistic regression for each ``reg_strength`` of ``grid``.
 
-        theta0 = np.zeros(X.shape[1] + 1)
-        theta, history = _lbfgs_minimize(
-            lambda t: logistic_loss_and_grad(t, Xs, y, self.reg_strength),
-            theta0,
-            tol=_LOGREG_TOL,
-            max_iter=_LOGREG_MAX_ITER,
-        )
-        self._theta = theta
-        self.loss_history_ = history
-        return self
-
-    def predict_proba(self, X) -> np.ndarray:
-        check_fitted(self, "_theta")
-        X = check_array(X)
-        Xs = (X - self._mean) / self._scale
-        z = Xs @ self._theta[:-1] + self._theta[-1]
-        p = 1.0 / (1.0 + np.exp(-z))
-        return np.column_stack((1.0 - p, p))
+    Features are standardized by the fit rows' mean and standard deviation,
+    once for the whole grid; each penalty is then fitted from zero.
+    """
+    if min(grid) <= 0:
+        raise ValueError(f"reg_strength must be > 0, got {min(grid)}")
+    X_fit, y_fit = check_X_y(X_fit, y_fit)
+    X_eval = check_array(X_eval)
+    mean = X_fit.mean(axis=0)
+    scale = X_fit.std(axis=0)
+    scale[scale == 0.0] = 1.0  # constant columns stay zero after centering
+    Xs = (X_fit - mean) / scale
+    thetas = [_fit_logreg(Xs, y_fit, reg_strength)[0] for reg_strength in grid]
+    del Xs  # free the standardized fit rows before standardizing the eval rows
+    Xs_eval = (X_eval - mean) / scale
+    return [1.0 / (1.0 + np.exp(-(Xs_eval @ theta[:-1] + theta[-1]))) for theta in thetas]
 
 
 # Most cells one batched split search may cover: rows x candidates, and for the
@@ -438,25 +406,12 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)  # splitmix64's counter step
 _SIDES = np.array([0x243F6A8885A308D3, 0x13198A2E03707344], dtype=np.uint64)
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
-    """The splitmix64 finaliser: a bijection of uint64 arrays.
-
-    Array arithmetic wraps silently; numpy scalars would warn on overflow,
-    so callers pass arrays.
-    """
-    z = z ^ (z >> np.uint64(30))
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
-
-
 def _child_keys(keys: np.ndarray) -> np.ndarray:
     """The keys of each node's left and right child, node after node.
 
-    ``_mix`` is a bijection, so the two children of a node never share a key.
+    ``mix64`` is a bijection, so the two children of a node never share a key.
     """
-    return _mix(keys[:, None] ^ _SIDES).ravel()
+    return mix64(keys[:, None] ^ _SIDES).ravel()
 
 
 def _draw_candidates(keys: np.ndarray, d: int, k: int) -> np.ndarray:
@@ -470,7 +425,7 @@ def _draw_candidates(keys: np.ndarray, d: int, k: int) -> np.ndarray:
     """
     steps = np.arange(1, k + 1, dtype=np.uint64) * _GOLDEN
     bounds = np.arange(d - k + 1, d + 1, dtype=np.uint64)
-    chosen = (_mix(keys[:, None] + steps) % bounds).astype(np.int64)
+    chosen = (mix64(keys[:, None] + steps) % bounds).astype(np.int64)
     # draw i stands unless an earlier pick took it, and then d - k + i, which
     # no earlier pick can be, stands for it; rows whose draws are distinct
     # already hold their picks
@@ -480,7 +435,7 @@ def _draw_candidates(keys: np.ndarray, d: int, k: int) -> np.ndarray:
     for i in range(1, k):
         picks[(picks[:, :i] == picks[:, i, None]).any(axis=1), i] = d - k + i
     chosen[redo] = picks
-    order = np.argsort(_mix(keys[:, None] ^ chosen.astype(np.uint64)), axis=1)
+    order = np.argsort(mix64(keys[:, None] ^ chosen.astype(np.uint64)), axis=1)
     return np.take_along_axis(chosen, order, axis=1)
 
 
@@ -575,70 +530,41 @@ def _grow_forest(X, y, seeds, min_samples_split, n_features_node) -> _Forest:
     return _Forest(*(np.concatenate(column) for column in zip(*levels)), len(seeds))
 
 
-class RandomForestHead:
-    """Bootstrap forest of entropy-split trees over sqrt(d) feature draws.
+def forest_scores(X_fit, y_fit, X_eval, grid, *, seed: int, n_trees: int) -> list[np.ndarray]:
+    """Bootstrap forest of entropy-split trees over sqrt(d) feature draws,
+    for each ``min_samples_split`` of ``grid``.
 
-    Every tree draws its bootstrap from its own seed stream, and every node
-    its candidate features from a hash of its key, which the tree seed and
-    the node's path from the root fix, so fits are bit-identical for a given
-    seed no matter how trees are scheduled: ``fit`` grows all trees together,
-    one level at a time, and gives the same forest a tree-by-tree grower
-    would. A split minimises the weighted child entropy; ties go to the first
-    candidate, then the lowest threshold. Because a node's split does not
-    depend on ``min_samples_split``, a forest fitted at m predicts, through
-    ``predict_proba(X, m2)``, exactly what a forest fitted at any m2 >= m
-    predicts: traversal stops at nodes with fewer than m2 rows. One fit at
-    the smallest grid value thus serves a whole ``min_samples_split`` grid.
+    Every tree draws its bootstrap from its own stream of
+    ``SeedSequence(seed)``, and every node its candidate features from a
+    hash of its key, which the tree seed and the node's path from the root
+    fix, so the forest is bit-identical for a seed however its trees are
+    scheduled. A split minimises the weighted child entropy; ties go to the
+    first candidate, then the lowest threshold. A node's split does not
+    depend on ``min_samples_split``, so one forest grown at the smallest
+    grid value predicts for every larger m exactly what a forest grown at m
+    predicts: traversal stops at nodes with fewer than m rows.
     """
-
-    def __init__(self, min_samples_split: int = 2, n_estimators: int = 500, seed: int = 0):
-        self.min_samples_split = min_samples_split
-        self.n_estimators = n_estimators
-        self.seed = seed
-        self._forest = None
-        self._grown_min_samples_split = None
-
-    def fit(self, X, y):
-        if self.min_samples_split < 2:
-            raise ValueError(
-                f"min_samples_split must be >= 2, got {self.min_samples_split}"
-            )
-        if self.n_estimators < 1:
-            raise ValueError(f"n_estimators must be >= 1, got {self.n_estimators}")
-        X, y = check_X_y(X, y)
-        if X.shape[0] == 0:
-            raise ValueError("empty training set")
-        if X.shape[1] == 0:
-            raise ValueError("X has no feature columns to split on")
-        self._forest = _grow_forest(
-            X,
-            y,
-            np.random.SeedSequence(self.seed).spawn(self.n_estimators),
-            self.min_samples_split,
-            max(1, math.isqrt(X.shape[1])),
-        )
-        self._grown_min_samples_split = self.min_samples_split
-        return self
-
-    def predict_proba(self, X, min_samples_split: int | None = None) -> np.ndarray:
-        """Class probabilities, optionally for a larger ``min_samples_split``.
-
-        ``min_samples_split`` defaults to the fitted value and may not be
-        smaller than it: nodes that were never split cannot be grown here.
-        """
-        check_fitted(self, "_forest")
-        if min_samples_split is None:
-            min_samples_split = self._grown_min_samples_split
-        elif min_samples_split < self._grown_min_samples_split:
-            raise ValueError(
-                f"cannot predict at min_samples_split={min_samples_split}: the "
-                f"forest was grown at {self._grown_min_samples_split}"
-            )
-        X = check_array(X)
-        n_trees = len(self._forest.roots)
-        scores = np.empty(X.shape[0], dtype=np.float64)
-        chunk = max(1, 500_000 // n_trees)  # bounds the (trees, rows) arrays
-        for start in range(0, X.shape[0], chunk):
-            values = self._forest.predict(X[start : start + chunk], min_samples_split)
-            scores[start : start + chunk] = values.sum(axis=0) / n_trees
-        return np.column_stack((1.0 - scores, scores))
+    if min(grid) < 2:
+        raise ValueError(f"min_samples_split must be >= 2, got {min(grid)}")
+    if n_trees < 1:
+        raise ValueError(f"n_trees must be >= 1, got {n_trees}")
+    X_fit, y_fit = check_X_y(X_fit, y_fit)
+    if X_fit.shape[1] == 0:
+        raise ValueError("X has no feature columns to split on")
+    X_eval = check_array(X_eval)
+    forest = _grow_forest(
+        X_fit,
+        y_fit,
+        np.random.SeedSequence(seed).spawn(n_trees),
+        min(grid),
+        max(1, math.isqrt(X_fit.shape[1])),
+    )
+    chunk = max(1, 500_000 // n_trees)  # bounds the (trees, rows) arrays
+    scores = []
+    for m in grid:
+        values = np.empty(X_eval.shape[0], dtype=np.float64)
+        for start in range(0, X_eval.shape[0], chunk):
+            per_tree = forest.predict(X_eval[start : start + chunk], m)
+            values[start : start + chunk] = per_tree.sum(axis=0) / n_trees
+        scores.append(values)
+    return scores

@@ -17,15 +17,19 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x00000100000001B3
 
 
-def mix64(x: int) -> int:
-    """SplitMix64 finalizer; bijective avalanche on 64-bit words."""
-    x &= _MASK64
-    x ^= x >> 30
+def mix64(x):
+    """SplitMix64 finalizer; bijective avalanche on 64-bit words.
+
+    Takes a Python int (negative ones as their two's-complement word) or a
+    uint64 array, whose arithmetic wraps silently; numpy scalars would warn
+    on overflow, so pass arrays.
+    """
+    x = x & _MASK64
+    x = x ^ (x >> 30)
     x = (x * 0xBF58476D1CE4E5B9) & _MASK64
-    x ^= x >> 27
+    x = x ^ (x >> 27)
     x = (x * 0x94D049BB133111EB) & _MASK64
-    x ^= x >> 31
-    return x
+    return x ^ (x >> 31)
 
 
 def hash_ints(*values: int) -> int:

@@ -74,11 +74,11 @@ def bridge_bonds(mol: Molecule) -> set[int]:
     return bridges
 
 
-def _simple_six_cycles(mol: Molecule) -> list[list[int]]:
-    """All simple 6-cycles, each as an atom list; deduplicated by atom set."""
+def _simple_six_cycles(mol: Molecule, allowed: Sequence[bool]) -> list[list[int]]:
+    """All simple 6-cycles through ``allowed`` atoms only, each as an atom
+    list; deduplicated by atom set."""
     cycles: list[list[int]] = []
     seen: set[frozenset[int]] = set()
-    n = mol.n_atoms
 
     def extend(path: list[int], on_path: set[int]) -> None:
         last = path[-1]
@@ -91,7 +91,7 @@ def _simple_six_cycles(mol: Molecule) -> list[list[int]]:
                         cycles.append(list(path))
                 continue
             # only grow toward indices >= root to avoid re-finding cycles
-            if nbr in on_path or nbr < path[0]:
+            if nbr in on_path or nbr < path[0] or not allowed[nbr]:
                 continue
             path.append(nbr)
             on_path.add(nbr)
@@ -99,8 +99,9 @@ def _simple_six_cycles(mol: Molecule) -> list[list[int]]:
             on_path.discard(nbr)
             path.pop()
 
-    for start in range(n):
-        extend([start], {start})
+    for start in range(mol.n_atoms):
+        if allowed[start]:
+            extend([start], {start})
     return cycles
 
 
@@ -136,12 +137,16 @@ def perceive(mol: Molecule, offsets: Sequence[int] = ()) -> Molecule:
     atom_aromatic = [a.aromatic and r for a, r in zip(mol.atoms, atom_in_ring)]
     bond_order = [b.order for b in mol.bonds]
 
-    # Kekule normalization: alternating 6-cycles become aromatic
-    for cycle in _simple_six_cycles(mol):
-        if not all(
-            mol.atoms[i].atomic_number in _KEKULE_RING_ELEMENTS for i in cycle
-        ):
-            continue
+    # Kekule normalization: alternating 6-cycles of ring C/N/O/S become
+    # aromatic; without a ring double bond no cycle can alternate
+    kekule_atoms = [
+        r and a.atomic_number in _KEKULE_RING_ELEMENTS
+        for a, r in zip(mol.atoms, atom_in_ring)
+    ]
+    ring_double = any(
+        r and order is BondOrder.DOUBLE for r, order in zip(bond_in_ring, bond_order)
+    )
+    for cycle in _simple_six_cycles(mol, kekule_atoms) if ring_double else ():
         bond_indices = [
             _bond_index(mol, cycle[k], cycle[(k + 1) % 6]) for k in range(6)
         ]

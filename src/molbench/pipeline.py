@@ -169,14 +169,15 @@ def parse_config(document: dict) -> BenchmarkConfig:
     dataset_entries = []
     for idx, raw in enumerate(_get(document, "datasets", "config", _ARRAY)):
         context = f"datasets[{idx}]"
-        dataset_entries.append(
-            DatasetEntry(
-                name=_get(raw, "name", context, _STR),
-                path=_get(raw, "path", context, _STR),
-                smiles_column=_get(raw, "smiles_column", context, _STR),
-                task_columns=_get(raw, "task_columns", context, _array_of(_STR)),
-            )
+        entry = DatasetEntry(
+            name=_get(raw, "name", context, _STR),
+            path=_get(raw, "path", context, _STR),
+            smiles_column=_get(raw, "smiles_column", context, _STR),
+            task_columns=_get(raw, "task_columns", context, _array_of(_STR)),
         )
+        if not entry.task_columns:
+            raise ConfigError(f"{context}.task_columns: at least one task column is required")
+        dataset_entries.append(entry)
     if not dataset_entries:
         raise ConfigError("config needs at least one dataset")
     names = [d.name for d in dataset_entries]

@@ -13,23 +13,23 @@ from molbench.harness import (
     BEST_HEAD,
     ClassifierSpec,
     Dataset,
-    KNeighborsHead,
-    LogisticRegressionHead,
-    RandomForestHead,
     ScoreRecord,
     ScoreTable,
     auroc,
     default_specs,
+    forest_scores,
+    knn_scores,
     load_dataset,
     load_embeddings,
     logistic_loss_and_grad,
+    logreg_scores,
     scaffold_split,
     stratified_folds,
     tune_and_evaluate,
     write_embeddings,
 )
 from molbench.harness.evaluate import FOREST_GRID, KNN_GRID, LOGREG_GRID
-from molbench.harness.heads import NotFittedError, _child_keys, _draw_candidates
+from molbench.harness.heads import _child_keys, _draw_candidates, _fit_logreg
 from molbench.molgraph import parse_smiles
 
 
@@ -227,36 +227,46 @@ class TestAuroc:
 
 class TestKnnHead:
     def test_nearest_neighbor(self):
-        head = KNeighborsHead(1).fit([[0.0], [1.0]], [0, 1])
-        assert head.predict_proba([[0.9]])[:, 1] == pytest.approx([1.0])
+        (scores,) = knn_scores([[0.0], [1.0]], [0, 1], [[0.9]], (1,))
+        assert scores == pytest.approx([1.0])
 
     def test_equidistant_average(self):
-        head = KNeighborsHead(2).fit([[0.0], [2.0]], [0, 1])
-        assert head.predict_proba([[1.0]])[:, 1] == pytest.approx([0.5])
+        (scores,) = knn_scores([[0.0], [2.0]], [0, 1], [[1.0]], (2,))
+        assert scores == pytest.approx([0.5])
 
     def test_full_neighborhood(self):
-        head = KNeighborsHead(3).fit([[0.0], [1.0], [2.0]], [0, 0, 1])
-        scores = head.predict_proba([[5.0], [-3.0]])[:, 1]
+        (scores,) = knn_scores([[0.0], [1.0], [2.0]], [0, 0, 1], [[5.0], [-3.0]], (3,))
         assert scores == pytest.approx([1 / 3, 1 / 3])
 
     def test_tie_broken_by_lower_index(self):
         # both training points at the same location but different labels
-        head = KNeighborsHead(1).fit([[1.0], [1.0]], [1, 0])
-        assert head.predict_proba([[1.0]])[:, 1] == pytest.approx([1.0])
+        (scores,) = knn_scores([[1.0], [1.0]], [1, 0], [[1.0]], (1,))
+        assert scores == pytest.approx([1.0])
+
+
+def _forest(X, y, X_eval, grid, *, seed=0, n_trees=40):
+    return forest_scores(X, y, X_eval, grid, seed=seed, n_trees=n_trees)
+
+
+_HEADS = {"knn": knn_scores, "logreg": logreg_scores, "random_forest": _forest}
 
 
 @pytest.mark.parametrize(
-    "head, method",
+    "head, grid, message",
     [
-        (KNeighborsHead, "predict_proba"),
-        (KNeighborsHead, "neighbor_labels"),
-        (LogisticRegressionHead, "predict_proba"),
-        (RandomForestHead, "predict_proba"),
+        ("knn", (3, 0), "n_neighbors must be >= 1, got 0"),
+        ("logreg", (1.0, -1.0), "reg_strength must be > 0, got -1.0"),
+        ("random_forest", (4, 1), "min_samples_split must be >= 2, got 1"),
     ],
+    ids=["knn", "logreg", "forest"],
 )
-def test_predict_before_fit_raises_not_fitted(head, method):
-    with pytest.raises(NotFittedError, match=f"{head.__name__} instance is not fitted"):
-        getattr(head(), method)([[0.0, 1.0]])
+def test_grid_checked_before_the_fit_rows(head, grid, message):
+    # an empty fit set is rejected too, but only after the whole grid passes
+    empty, one_row = np.empty((0, 2)), np.zeros((1, 2))
+    with pytest.raises(ValueError, match=message):
+        _HEADS[head](empty, [], one_row, grid)
+    with pytest.raises(ValueError, match="empty training set"):
+        _HEADS[head](empty, [], one_row, grid[:1])
 
 
 class TestLogisticHead:
@@ -283,29 +293,29 @@ class TestLogisticHead:
     def test_separable_perfect_train_auroc(self):
         X = np.array([[-2.0], [-1.0], [1.0], [2.0]])
         y = np.array([0.0, 0.0, 1.0, 1.0])
-        head = LogisticRegressionHead(reg_strength=1000.0).fit(X, y)
-        assert auroc(head.predict_proba(X)[:, 1], y) == 1.0
+        (scores,) = logreg_scores(X, y, X, (1000.0,))
+        assert auroc(scores, y) == 1.0
 
     def test_loss_monotone_decrease(self):
         rng = np.random.default_rng(8)
         X = rng.normal(size=(60, 5))
         y = (X[:, 0] + 0.5 * rng.normal(size=60) > 0).astype(float)
-        head = LogisticRegressionHead(reg_strength=10.0).fit(X, y)
-        diffs = np.diff(head.loss_history_)
-        assert np.all(diffs < 0)
+        _, history = _fit_logreg((X - X.mean(axis=0)) / X.std(axis=0), y, 10.0)
+        assert np.all(np.diff(history) < 0)
 
     def test_strong_penalty_shrinks_to_prior(self):
         X = np.array([[-2.0], [-1.0], [1.0], [2.0]])
         y = np.array([0.0, 0.0, 1.0, 1.0])
-        head = LogisticRegressionHead(reg_strength=1e-9).fit(X, y)
-        assert np.abs(head._theta[:-1]).max() < 1e-4
-        assert head.predict_proba(X)[:, 1] == pytest.approx([0.5] * 4, abs=1e-3)
+        theta, _ = _fit_logreg((X - X.mean(axis=0)) / X.std(axis=0), y, 1e-9)
+        assert np.abs(theta[:-1]).max() < 1e-4
+        (scores,) = logreg_scores(X, y, X, (1e-9,))
+        assert scores == pytest.approx([0.5] * 4, abs=1e-3)
 
     def test_constant_feature_handled(self):
         X = np.column_stack([np.ones(10), np.arange(10.0)])
         y = (np.arange(10) >= 5).astype(float)
-        head = LogisticRegressionHead().fit(X, y)
-        assert np.all(np.isfinite(head.predict_proba(X)))
+        (scores,) = logreg_scores(X, y, X, (1.0,))
+        assert np.all(np.isfinite(scores))
 
 
 _MASK = (1 << 64) - 1
@@ -465,39 +475,65 @@ class TestCandidateDraw:
         rng = np.random.default_rng(4)
         X = rng.integers(0, 3, size=(40, 9)).astype(float)
         y = (X[:, 0] + rng.normal(size=40) > 1).astype(float)
-        RandomForestHead(n_estimators=7, seed=3).fit(X, y)
+        forest_scores(X, y, X, (2,), seed=3, n_trees=7)
         assert built == [()] + [(t,) for t in range(7)]  # the seed and its spawn
+
+
+def _proba(scores):
+    """The (negative, positive) class columns the forest pins were recorded on."""
+    return np.column_stack((1.0 - scores, scores))
+
+
+@pytest.mark.parametrize(
+    "head, grid, noise",
+    [
+        ("knn", KNN_GRID, 0.1),
+        ("logreg", LOGREG_GRID[::3], 0.1),
+        ("random_forest", FOREST_GRID, 0.0),
+        ("random_forest", FOREST_GRID, 0.1),
+    ],
+    ids=["knn", "logreg", "forest-binned", "forest-sorted"],
+)
+def test_one_call_scores_every_grid_point(head, grid, noise):
+    # integer features take the forest's bincount splitter, noisy ones the
+    # sorting one; one call on the grid equals one call per grid value
+    rng = np.random.default_rng(3)
+    X = rng.integers(0, 4, size=(80, 30)) + rng.normal(scale=noise, size=(80, 30))
+    y = (X[:, 0] + X[:, 1] + rng.normal(size=80) > 3).astype(float)
+    test = rng.integers(0, 4, size=(40, 30)) + rng.normal(scale=noise, size=(40, 30))
+    together = _HEADS[head](X, y, test, grid)
+    assert len(together) == len(grid)
+    for value, scores in zip(grid, together):
+        (alone,) = _HEADS[head](X, y, test, (value,))
+        assert np.array_equal(scores, alone)
+    assert not np.array_equal(together[0], together[-1])
 
 
 class TestForestHead:
     def test_no_feature_columns_rejected(self):
         with pytest.raises(ValueError, match="no feature columns"):
-            RandomForestHead(n_estimators=3).fit(np.empty((4, 0)), [0.0, 1.0, 0.0, 1.0])
+            _forest(np.empty((4, 0)), [0.0, 1.0, 0.0, 1.0], np.empty((1, 0)), (2,), n_trees=3)
 
     def test_constant_feature_scores_near_train_rate(self):
         y = np.array([0, 0, 0, 1, 1, 1, 1, 1], dtype=float)
-        head = RandomForestHead(min_samples_split=2, n_estimators=500, seed=3).fit(
-            np.ones((8, 4)), y
-        )
-        scores = head.predict_proba(np.ones((3, 4)))[:, 1]
+        (scores,) = _forest(np.ones((8, 4)), y, np.ones((3, 4)), (2,), seed=3, n_trees=500)
         assert np.all(scores == scores[0])  # no split anywhere
         assert scores[0] == pytest.approx(y.mean(), abs=0.05)
 
     def test_xor_memorized(self):
         X = np.tile(np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]), (25, 1))
         y = np.tile(np.array([0.0, 1.0, 1.0, 0.0]), 25)
-        head = RandomForestHead(min_samples_split=2, n_estimators=100, seed=0).fit(X, y)
-        predictions = head.predict_proba(X)[:, 1] > 0.5
-        assert np.mean(predictions == y) == 1.0
+        (scores,) = _forest(X, y, X, (2,), n_trees=100)
+        assert np.mean((scores > 0.5) == y) == 1.0
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(12)
         X = rng.normal(size=(40, 8))
         y = (X[:, 0] > 0).astype(float)
-        a = RandomForestHead(min_samples_split=4, n_estimators=50, seed=7).fit(X, y)
-        b = RandomForestHead(min_samples_split=4, n_estimators=50, seed=7).fit(X, y)
         test = rng.normal(size=(15, 8))
-        assert np.array_equal(a.predict_proba(test), b.predict_proba(test))
+        a = _forest(X, y, test, (4,), seed=7, n_trees=50)
+        b = _forest(X, y, test, (4,), seed=7, n_trees=50)
+        assert np.array_equal(a, b)
 
     def test_binned_and_sorted_paths_agree_on_split_quality(self):
         # integer data goes through the bincount splitter; forcing the float
@@ -505,31 +541,11 @@ class TestForestHead:
         rng = np.random.default_rng(2)
         X_int = rng.integers(0, 5, size=(60, 10)).astype(float)
         y = (X_int[:, 0] >= 2).astype(float)
-        int_head = RandomForestHead(n_estimators=50, seed=1).fit(X_int, y)
-        float_head = RandomForestHead(n_estimators=50, seed=1).fit(X_int + 0.25, y)
         test = rng.integers(0, 5, size=(30, 10)).astype(float)
-        a = auroc(int_head.predict_proba(test)[:, 1], (test[:, 0] >= 2).astype(float))
-        b = auroc(
-            float_head.predict_proba(test + 0.25)[:, 1],
-            (test[:, 0] >= 2).astype(float),
-        )
-        assert a == pytest.approx(1.0)
-        assert b == pytest.approx(1.0)
-
-    @pytest.mark.parametrize("noise", [0.0, 0.1], ids=["binned", "sorted"])
-    def test_grown_forest_predicts_every_grid_point(self, noise):
-        # integer features take the bincount splitter, noisy ones the sorting one
-        rng = np.random.default_rng(3)
-        X = rng.integers(0, 4, size=(80, 30)) + rng.normal(scale=noise, size=(80, 30))
-        y = (X[:, 0] + X[:, 1] + rng.normal(size=80) > 3).astype(float)
-        test = rng.integers(0, 4, size=(40, 30)) + rng.normal(scale=noise, size=(40, 30))
-        grown = RandomForestHead(min_samples_split=2, n_estimators=40, seed=5).fit(X, y)
-        for m in FOREST_GRID:
-            direct = RandomForestHead(min_samples_split=m, n_estimators=40, seed=5).fit(X, y)
-            assert np.array_equal(grown.predict_proba(test, m), direct.predict_proba(test))
-        assert not np.array_equal(
-            grown.predict_proba(test, FOREST_GRID[0]), grown.predict_proba(test, FOREST_GRID[-1])
-        )
+        (int_scores,) = _forest(X_int, y, test, (2,), seed=1, n_trees=50)
+        (float_scores,) = _forest(X_int + 0.25, y, test + 0.25, (2,), seed=1, n_trees=50)
+        assert auroc(int_scores, (test[:, 0] >= 2).astype(float)) == pytest.approx(1.0)
+        assert auroc(float_scores, (test[:, 0] >= 2).astype(float)) == pytest.approx(1.0)
 
     @pytest.mark.parametrize(
         "noise, digests",
@@ -565,10 +581,9 @@ class TestForestHead:
         test = rng.integers(0, 6, size=(60, 40)).astype(float)
         X += noise * rng.normal(scale=1.0, size=X.shape)
         test += noise * rng.normal(scale=1.0, size=test.shape)
-        head = RandomForestHead(n_estimators=60, seed=4).fit(X, y)
         found = tuple(
-            hashlib.sha256(head.predict_proba(test, m).tobytes()).hexdigest()
-            for m in FOREST_GRID
+            hashlib.sha256(_proba(scores).tobytes()).hexdigest()
+            for scores in _forest(X, y, test, FOREST_GRID, seed=4, n_trees=60)
         )
         assert found == digests
 
@@ -580,7 +595,7 @@ class TestForestHead:
         ],
         ids=["one-feature", "two-features"],
     )
-    def test_deep_tree_pinned(self, mix, digest):
+    def test_deep_tree_pinned(self, mix, digest, monkeypatch):
         # alternating labels along a feature grow trees past depth 64, where a
         # heap index (root 1, children 2p and 2p+1) would outgrow int64 but a
         # node key stays 64 bits; with a second, shuffled feature the deep
@@ -590,14 +605,24 @@ class TestForestHead:
         if mix:
             X = np.column_stack([X, (i * mix) % 1000 + 0.5])
         y = (i % 2).astype(float)
-        head = RandomForestHead(n_estimators=20, seed=0).fit(X, y)
-        forest, level, depth = head._forest, head._forest.roots, 0
+        from molbench.harness import heads
+
+        grown = []
+        grow = heads._grow_forest
+
+        def recording_grow(*args):
+            grown.append(grow(*args))
+            return grown[-1]
+
+        monkeypatch.setattr(heads, "_grow_forest", recording_grow)
+        (scores,) = _forest(X, y, X, (2,), n_trees=20)
+        (forest,) = grown
+        level, depth = forest.roots, 0
         while (inner := level[forest.feature[level] >= 0]).size:
             level = np.concatenate([forest.left[inner], forest.left[inner] + 1])
             depth += 1
         assert depth > 64
-        scores = head.predict_proba(X)
-        assert hashlib.sha256(scores.tobytes()).hexdigest() == digest
+        assert hashlib.sha256(_proba(scores).tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("noise", [0.0, 0.1], ids=["binned", "sorted"])
     def test_batch_size_does_not_change_forest(self, noise, monkeypatch):
@@ -609,8 +634,7 @@ class TestForestHead:
         scores = []
         for cells in (1, heads._BATCH_CELLS, 1 << 24):
             monkeypatch.setattr(heads, "_BATCH_CELLS", cells)
-            head = RandomForestHead(n_estimators=30, seed=2).fit(X, y)
-            scores.append(head.predict_proba(X))
+            scores.append(_forest(X, y, X, (2,), seed=2, n_trees=30)[0])
         assert np.array_equal(scores[0], scores[1])
         assert np.array_equal(scores[1], scores[2])
 
@@ -654,9 +678,9 @@ class TestForestHead:
         }[kind]((90, 16))
         y = (X[:, 0] + X[:, 1] + rng.normal(size=90) > X[:, :2].sum(axis=1).mean()).astype(float)
         test = X[::3] + rng.normal(scale=0.5, size=X[::3].shape)
-        head = RandomForestHead(min_samples_split, n_estimators=25, seed=6).fit(X, y)
+        (scores,) = _forest(X, y, test, (min_samples_split,), seed=6, n_trees=25)
         expected = _reference_forest_scores(X, y, test, 6, 25, min_samples_split)
-        assert np.array_equal(head.predict_proba(test)[:, 1], expected)
+        assert np.array_equal(scores, expected)
 
     @pytest.mark.parametrize("noise", [0.0, 0.1], ids=["binned", "sorted"])
     def test_search_sees_only_usable_candidates(self, noise, monkeypatch):
@@ -686,7 +710,7 @@ class TestForestHead:
 
         monkeypatch.setattr(heads, "_draw_candidates", recording_draw)
         monkeypatch.setattr(heads, search.__name__, recording_search)
-        RandomForestHead(n_estimators=30, seed=1).fit(X, y)
+        _forest(X, y, X, (2,), seed=1, n_trees=30)
 
         searched_levels = padded_nodes = 0
         for drawn, blocks in levels:
@@ -704,13 +728,6 @@ class TestForestHead:
                 assert not usable[node_searched[len(kept) :]].any()
                 padded_nodes += len(kept) < len(node_searched)
         assert searched_levels > 2 and padded_nodes > 0
-
-    def test_predict_below_grown_split_rejected(self):
-        X = np.tile(np.array([[0.0], [1.0]]), (10, 1))
-        y = X[:, 0].copy()
-        head = RandomForestHead(min_samples_split=4, n_estimators=5, seed=0).fit(X, y)
-        with pytest.raises(ValueError, match="min_samples_split=3"):
-            head.predict_proba(X, 3)
 
 
 class TestGrids:

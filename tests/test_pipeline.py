@@ -148,6 +148,7 @@ class TestConfigValidation:
             pytest.param(("classifier_seed",), "x", id="classifier_seed"),
             pytest.param(("bbt", "rope"), 5, id="rope"),
             pytest.param(("datasets", 0, "task_columns"), 5, id="task_columns"),
+            pytest.param(("datasets", 0, "task_columns"), [], id="no-task-columns"),
             pytest.param(("representations", 1, "paths"), ["tiny.emb"], id="paths"),
         ],
     )
