@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DataError
-from ..harness.scores import BEST_HEAD, ScoreTable, pairwise_outcomes
+from ..harness.scores import ScoreTable, pairwise_outcomes
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,6 @@ class WinTable:
 def build_win_table(
     scores: ScoreTable,
     epsilon_tie: float = 0.01,
-    head: str = BEST_HEAD,
 ) -> WinTable:
     """Per dataset and pair: wins as ``pairwise_outcomes`` decides them, and
     half of each tie to both models.
@@ -55,7 +54,7 @@ def build_win_table(
     """
     if epsilon_tie < 0:
         raise ValueError(f"epsilon_tie must be >= 0, got {epsilon_tie}")
-    models, _, values = scores.matrix(head)
+    models, _, values = scores.matrix()
     if len(models) < 2:
         raise DataError(f"need at least 2 models, got {len(models)}")
     wins, ties, shared = pairwise_outcomes(values, epsilon_tie)

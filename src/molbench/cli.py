@@ -10,7 +10,6 @@ aggregate tables). Exit codes: 0 success, 2 config error, 3 data error,
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import logging
@@ -21,8 +20,13 @@ from pathlib import Path
 from .bbt import BBTConfig
 from .errors import ConfigError, ConvergenceError, DataError
 from .fingerprints import KINDS, FingerprintConfig, featurize
-from .harness import ScoreTable, scaffold_split, write_embeddings, write_matrix_csv
-from .molgraph import SmilesParseError, parse_smiles
+from .harness import (
+    ScoreTable,
+    read_smiles_table,
+    scaffold_split,
+    write_embeddings,
+    write_matrix_csv,
+)
 from .pipeline import (
     BenchmarkConfig,
     load_config,
@@ -39,20 +43,6 @@ EXIT_DIAGNOSTICS = 4
 logger = logging.getLogger(__name__)
 
 
-def _read_smiles(path: Path, smiles_column: str | None) -> list[str]:
-    """SMILES from a CSV column, or one per line when no column is given."""
-    if smiles_column is None:
-        lines = path.read_text(encoding="utf-8").splitlines()
-        return [line.strip() for line in lines if line.strip()]
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or smiles_column not in header:
-            raise DataError(f"{path}: missing column {smiles_column!r}")
-        idx = header.index(smiles_column)
-        return [row[idx].strip() for row in reader if row and row[idx].strip()]
-
-
 def _cmd_fingerprint(args) -> int:
     try:
         cfg = FingerprintConfig(
@@ -63,15 +53,9 @@ def _cmd_fingerprint(args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    smiles = _read_smiles(Path(args.input), args.smiles_column)
-    if not smiles:
-        raise DataError(f"{args.input}: no SMILES found")
-    molecules = []
-    for i, text in enumerate(smiles):
-        try:
-            molecules.append(parse_smiles(text))
-        except (SmilesParseError, ValueError) as exc:
-            raise DataError(f"{args.input} entry {i}: {exc}") from None
+    _, molecules, _, dropped = read_smiles_table(args.input, args.smiles_column)
+    if dropped:  # one output row per entry, so every entry must parse
+        raise DataError(f"{args.input} entry {dropped[0]}: SMILES does not parse")
     matrix = featurize(molecules, cfg)
     output = Path(args.output)
     if output.suffix == ".emb":
@@ -85,18 +69,9 @@ def _cmd_fingerprint(args) -> int:
 def _cmd_split(args) -> int:
     if not 0.0 < args.frac_train < 1.0:
         raise ConfigError(f"--frac-train must be in (0, 1), got {args.frac_train}")
-    smiles = _read_smiles(Path(args.input), args.smiles_column)
-    molecules = []
-    kept_rows = []
-    dropped = []
-    for i, text in enumerate(smiles):
-        try:
-            molecules.append(parse_smiles(text))
-            kept_rows.append(i)
-        except (SmilesParseError, ValueError):
-            dropped.append(i)
-    if not molecules:
-        raise DataError(f"{args.input}: no parseable SMILES")
+    _, molecules, _, dropped = read_smiles_table(args.input, args.smiles_column)
+    skip = set(dropped)
+    kept_rows = [i for i in range(len(molecules) + len(dropped)) if i not in skip]
     split = scaffold_split(molecules, args.frac_train)
     payload = {
         "frac_train": args.frac_train,
@@ -244,7 +219,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, SmilesParseError, OSError) as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ConvergenceError as exc:

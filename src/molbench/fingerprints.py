@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .hashing import hash_ints
-from .molgraph import BondOrder, Molecule, shortest_path_distances
+from .molgraph import BondOrder, Molecule, neighborhood_hash, shortest_path_distances
 
 _TAG_ATOM_ENV = 11
 _TAG_ECFP = 12
@@ -100,14 +100,7 @@ def ecfp_identifiers(mol: Molecule, radius: int) -> list[int]:
         next_ids = []
         next_sets = []
         for a in range(mol.n_atoms):
-            tokens = sorted(
-                (int(mol.bonds[b].order), identifiers[nbr])
-                for nbr, b in mol.neighbors[a]
-            )
-            flat = [_TAG_ECFP, r, identifiers[a]]
-            for order, ident in tokens:
-                flat.extend((order, ident))
-            next_ids.append(hash_ints(*flat))
+            next_ids.append(neighborhood_hash(mol, identifiers, a, _TAG_ECFP, r))
             covered = set(bond_sets[a])
             for nbr, b in mol.neighbors[a]:
                 covered.add(b)

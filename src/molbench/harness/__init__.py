@@ -2,9 +2,9 @@
 
 from .datasets import (
     Dataset,
-    EmbeddingTable,
     load_dataset,
     load_embeddings,
+    read_smiles_table,
     write_embeddings,
     write_matrix_csv,
 )
@@ -21,9 +21,9 @@ from .splits import Split, scaffold_split
 
 __all__ = [
     "Dataset",
-    "EmbeddingTable",
     "load_dataset",
     "load_embeddings",
+    "read_smiles_table",
     "write_embeddings",
     "write_matrix_csv",
     "Split",

@@ -9,6 +9,7 @@ then rows*dim float32 values).
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import struct
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from ..errors import DataError
-from ..molgraph import Molecule, SmilesParseError, largest_fragment, parse_smiles
+from ..molgraph import Molecule, largest_fragment, parse_smiles
 
 logger = logging.getLogger(__name__)
 
@@ -66,21 +67,86 @@ class Dataset:
         return self.labels.shape[1]
 
 
-def _parse_label(cell: str, row: int, column: str) -> float:
+def read_text(path: Union[str, Path]) -> str:
+    """A file's UTF-8 text; other bytes are a DataError naming the file and row."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path} row {line}: not UTF-8 text ({exc.reason})") from None
+
+
+def read_smiles_table(
+    path: Union[str, Path],
+    smiles_column: Optional[str] = None,
+    columns: Sequence[str] = (),
+) -> tuple[list[str], list[Molecule], list[list[str]], list[int]]:
+    """Parse the SMILES of every data row of a SMILES table.
+
+    The table is a CSV whose header names ``smiles_column`` and ``columns``,
+    or, with no ``smiles_column``, one SMILES per line and no header. A row
+    of blanks is not a data row; a data row shorter than the header, or text
+    that is not UTF-8, is a DataError naming the file and the row.
+
+    Returns the SMILES, molecule and ``columns`` cells (one list per column)
+    of the rows that parse, and the positions among the data rows of those
+    that do not, a blank SMILES included; each of these is logged.
+    """
+    path = Path(path)
+    text = read_text(path)
+    if smiles_column is None:
+        rows = ((number, [line]) for number, line in enumerate(text.splitlines(), start=1))
+        header = [None]  # one unnamed column
+    else:
+        reader = csv.reader(io.StringIO(text, newline=""))
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty file")
+        rows = ((reader.line_num, row) for row in reader)
+    position = {column: i for i, column in enumerate(header)}
+    for column in [smiles_column, *columns]:
+        if column not in position:
+            raise DataError(f"{path}: missing column {column!r}")
+    smiles_idx = position[smiles_column]
+    cell_idx = [position[column] for column in columns]
+
+    smiles: list[str] = []
+    molecules: list[Molecule] = []
+    cells: list[list[str]] = [[] for _ in columns]
+    dropped: list[int] = []
+    for number, row in rows:
+        if not "".join(row).strip():
+            continue
+        if len(row) < len(header):
+            raise DataError(
+                f"{path} row {number}: short row ({len(row)} of {len(header)} cells)"
+            )
+        entry = row[smiles_idx].strip()
+        try:
+            molecule = parse_smiles(entry)
+        except ValueError as exc:  # SmilesParseError, ValenceError
+            logger.warning("%s row %d: cannot parse SMILES %r (%s)", path, number, entry, exc)
+            dropped.append(len(smiles) + len(dropped))
+        else:
+            smiles.append(entry)
+            molecules.append(molecule)
+            for column_cells, i in zip(cells, cell_idx):
+                column_cells.append(row[i])
+    if not molecules:
+        raise DataError(f"{path}: no rows with parseable SMILES")
+    return smiles, molecules, cells, dropped
+
+
+def _parse_label(cell: str) -> float:
+    """0, 1 or NaN (an empty cell); ValueError for any other value."""
     text = cell.strip()
     if text == "":
         return float("nan")
-    if text in ("0", "1"):
-        return float(text)
-    try:
-        value = float(text)
-    except ValueError:
-        raise DataError(
-            f"non-binary label {cell!r} in column {column!r}, row {row}"
-        ) from None
-    if value in (0.0, 1.0):
-        return value
-    raise DataError(f"non-binary label {cell!r} in column {column!r}, row {row}")
+    value = float(text)
+    if value not in (0.0, 1.0):
+        raise ValueError(cell)
+    return value
 
 
 def load_dataset(
@@ -91,81 +157,42 @@ def load_dataset(
     name: Optional[str] = None,
     keep_largest_fragment: bool = False,
 ) -> Dataset:
-    """Read a dataset CSV, dropping (and counting) rows that fail to parse."""
+    """Read a dataset CSV, dropping (and counting) the rows whose SMILES is
+    blank or fails to parse (``read_smiles_table``)."""
     path = Path(path)
     if not task_columns:
         raise DataError("at least one task column is required")
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        columns = {column: i for i, column in enumerate(header)}
-        for column in [smiles_column, *task_columns]:
-            if column not in columns:
-                raise DataError(f"{path}: missing column {column!r}")
-        smiles_idx = columns[smiles_column]
-        task_idx = [columns[c] for c in task_columns]
-
-        smiles: list[str] = []
-        molecules: list[Molecule] = []
-        labels: list[list[float]] = []
-        n_dropped = 0
-        for row_number, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            text = row[smiles_idx].strip()
+    smiles, molecules, cells, dropped = read_smiles_table(path, smiles_column, task_columns)
+    if keep_largest_fragment:
+        molecules = [largest_fragment(mol) for mol in molecules]
+    labels = np.empty((len(smiles), len(task_columns)))
+    for t, column in enumerate(task_columns):
+        for i, cell in enumerate(cells[t]):
             try:
-                mol = parse_smiles(text)
-            except (SmilesParseError, ValueError) as exc:
-                logger.warning("%s row %d: dropping %r (%s)", path, row_number, text, exc)
-                n_dropped += 1
-                continue
-            if keep_largest_fragment:
-                mol = largest_fragment(mol)
-            smiles.append(text)
-            molecules.append(mol)
-            labels.append(
-                [_parse_label(row[i], row_number, header[i]) for i in task_idx]
-            )
-
-    if not smiles:
-        raise DataError(f"{path}: no rows with parseable SMILES")
-    if n_dropped:
-        logger.info("%s: dropped %d unparseable rows", path, n_dropped)
+                labels[i, t] = _parse_label(cell)
+            except ValueError:
+                raise DataError(
+                    f"{path}: non-binary label {cell!r} in column {column!r} "
+                    f"for SMILES {smiles[i]!r}"
+                ) from None
+    if dropped:
+        logger.info("%s: dropped %d unparseable rows", path, len(dropped))
     return Dataset(
         name=name or path.stem,
         smiles=smiles,
-        labels=np.asarray(labels, dtype=np.float64),
+        labels=labels,
         task_names=list(task_columns),
         molecules=molecules,
-        n_dropped=n_dropped,
+        n_dropped=len(dropped),
     )
-
-
-@dataclass
-class EmbeddingTable:
-    """Frozen vectors for one model over one dataset's molecules."""
-
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        self.vectors = np.asarray(self.vectors, dtype=np.float64)
-        if self.vectors.ndim != 2:
-            raise DataError(
-                f"embeddings must be 2-D, got shape {self.vectors.shape}"
-            )
-        if not np.all(np.isfinite(self.vectors)):
-            raise DataError("embeddings contain non-finite entries")
 
 
 def load_embeddings(
     path: Union[str, Path],
     *,
     expected_rows: Optional[int] = None,
-) -> EmbeddingTable:
-    """Load a vector table from EMB1 binary or numeric CSV."""
+) -> np.ndarray:
+    """The finite 2-D float64 vector table of an EMB1 binary or numeric CSV file."""
     path = Path(path)
     with open(path, "rb") as handle:
         magic = handle.read(4)
@@ -173,13 +200,14 @@ def load_embeddings(
             vectors = _read_binary_embeddings(handle, path)
         else:
             vectors = _read_csv_embeddings(path)
-    table = EmbeddingTable(vectors)
-    if expected_rows is not None and table.vectors.shape[0] != expected_rows:
+    if not np.all(np.isfinite(vectors)):
+        raise DataError(f"{path}: embeddings contain non-finite entries")
+    if expected_rows is not None and vectors.shape[0] != expected_rows:
         raise DataError(
-            f"{path}: {table.vectors.shape[0]} embedding rows but dataset has "
+            f"{path}: {vectors.shape[0]} embedding rows but dataset has "
             f"{expected_rows} molecules"
         )
-    return table
+    return vectors
 
 
 def _read_binary_embeddings(handle, path: Path) -> np.ndarray:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -11,6 +12,7 @@ from typing import Iterable, Optional, Union
 import numpy as np
 
 from ..errors import DataError
+from .datasets import read_text
 
 HEAD_ORDER = ("knn", "logreg", "random_forest")
 BEST_HEAD = "best"
@@ -42,10 +44,6 @@ class ScoreTable:
         if key in self._records:
             raise DataError(f"duplicate score record for {key}")
         self._records[key] = record
-
-    def get(self, model: str, dataset: str, head: str = BEST_HEAD) -> Optional[float]:
-        record = self._records.get((model, dataset, head))
-        return record.auroc if record else None
 
     def records(self) -> list[ScoreRecord]:
         return sorted(
@@ -89,23 +87,19 @@ class ScoreTable:
     @classmethod
     def from_csv(cls, path: Union[str, Path]) -> "ScoreTable":
         table = cls()
-        with open(path, newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header != ["model", "dataset", "head", "auroc"]:
-                raise DataError(f"{path}: not a score table (header {header})")
-            for row_number, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 4:
-                    raise DataError(f"{path} row {row_number}: expected 4 columns")
-                try:
-                    value = float(row[3])
-                except ValueError:
-                    raise DataError(
-                        f"{path} row {row_number}: bad auroc {row[3]!r}"
-                    ) from None
-                table.add(ScoreRecord(row[0], row[1], row[2], value))
+        reader = csv.reader(io.StringIO(read_text(path), newline=""))
+        header = next(reader, None)
+        if header != ["model", "dataset", "head", "auroc"]:
+            raise DataError(f"{path}: not a score table (header {header})")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != 4:
+                raise DataError(f"{path} row {reader.line_num}: expected 4 columns")
+            try:
+                table.add(ScoreRecord(row[0], row[1], row[2], float(row[3])))
+            except ValueError as exc:  # a bad or out-of-range auroc, a duplicate
+                raise DataError(f"{path} row {reader.line_num}: {exc}") from None
         return table
 
 

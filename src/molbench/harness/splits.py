@@ -19,7 +19,6 @@ from .datasets import Dataset
 class Split:
     train_idx: tuple[int, ...]
     test_idx: tuple[int, ...]
-    frac_train: float
 
     def __post_init__(self):
         overlap = set(self.train_idx) & set(self.test_idx)
@@ -57,8 +56,4 @@ def scaffold_split(
         raise DataError(
             "scaffold split left the test side empty; lower frac_train"
         )
-    return Split(
-        train_idx=tuple(sorted(train)),
-        test_idx=tuple(sorted(test)),
-        frac_train=frac_train,
-    )
+    return Split(train_idx=tuple(sorted(train)), test_idx=tuple(sorted(test)))

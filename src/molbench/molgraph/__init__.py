@@ -1,6 +1,6 @@
 """Molecular graphs: SMILES parsing, ring perception, scaffolds, distances."""
 
-from .model import Atom, Bond, BondOrder, Molecule, induced_subgraph
+from .model import Atom, Bond, BondOrder, Molecule, induced_subgraph, neighborhood_hash
 from .parser import (
     EmptyFragmentError,
     SmilesParseError,
@@ -40,6 +40,7 @@ __all__ = [
     "scaffold_key",
     "largest_fragment",
     "induced_subgraph",
+    "neighborhood_hash",
     "SmilesParseError",
     "UnclosedRingError",
     "UnmatchedParenthesisError",

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Optional, Sequence
 
+from ..hashing import hash_ints
+
 
 class BondOrder(IntEnum):
     SINGLE = 1
@@ -184,3 +186,14 @@ def induced_subgraph(mol: Molecule, atom_indices: Sequence[int]) -> Molecule:
         if b.a1 in remap and b.a2 in remap
     ]
     return Molecule(atoms, bonds)
+
+
+def neighborhood_hash(mol: Molecule, labels: Sequence[int], atom: int, *prefix: int) -> int:
+    """Hash of ``prefix``, the atom's own label, then its sorted (bond order,
+    neighbour label) pairs: one refinement step of a label per atom."""
+    flat = [*prefix, labels[atom]]
+    for order, label in sorted(
+        (int(mol.bonds[bond_idx].order), labels[nbr]) for nbr, bond_idx in mol.neighbors[atom]
+    ):
+        flat.extend((order, label))
+    return hash_ints(*flat)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..hashing import hash_ints
-from .model import BondOrder, Molecule, induced_subgraph
+from .model import BondOrder, Molecule, induced_subgraph, neighborhood_hash
 from .perception import perceive
 
 _TAG_ATOM = 1
@@ -105,17 +105,7 @@ def _wl_graph_key(mol: Molecule) -> int:
     ]
     for _ in range(n):
         previous = _partition(labels)
-        refreshed = []
-        for i in range(n):
-            tokens = sorted(
-                (int(mol.bonds[bond_idx].order), labels[nbr])
-                for nbr, bond_idx in mol.neighbors[i]
-            )
-            flat = [_TAG_REFINE, labels[i]]
-            for order, label in tokens:
-                flat.extend((order, label))
-            refreshed.append(hash_ints(*flat))
-        labels = refreshed
+        labels = [neighborhood_hash(mol, labels, i, _TAG_REFINE) for i in range(n)]
         if _partition(labels) == previous:
             break
     key = hash_ints(_TAG_KEY, n, mol.n_bonds, *sorted(labels))

@@ -38,6 +38,7 @@ from .harness import (
     scaffold_split,
     tune_and_evaluate,
 )
+from .harness.datasets import read_text
 from .harness.evaluate import DatasetSkipped, default_specs
 from .reports import (
     aggregate_report,
@@ -265,9 +266,11 @@ def parse_config(document: dict) -> BenchmarkConfig:
 def load_config(path: Union[str, Path]) -> BenchmarkConfig:
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = read_text(path)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
+    except DataError as exc:  # not UTF-8
+        raise ConfigError(str(exc)) from None
     try:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -330,7 +333,7 @@ def _evaluate_cell(
             features = load_embeddings(
                 rep.embedding_paths[entry.name],
                 expected_rows=dataset.n_molecules,
-            ).vectors
+            )
         split = scaffold_split(dataset, config.frac_train)
         records = tune_and_evaluate(
             dataset,

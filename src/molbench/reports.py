@@ -16,12 +16,12 @@ import numpy as np
 
 from .errors import DataError
 from .harness.metrics import average_ranks
-from .harness.scores import BEST_HEAD, ScoreTable, beats, pairwise_outcomes
+from .harness.scores import ScoreTable, beats, pairwise_outcomes
 
 
-def _complete_matrix(scores: ScoreTable, head: str) -> tuple[list[str], list[str], np.ndarray]:
-    """``scores.matrix(head)``; a missing or NaN cell is a DataError."""
-    models, datasets, matrix = scores.matrix(head)
+def _complete_matrix(scores: ScoreTable) -> tuple[list[str], list[str], np.ndarray]:
+    """``scores.matrix()``; a missing or NaN cell is a DataError."""
+    models, datasets, matrix = scores.matrix()
     missing = [(models[i], datasets[d]) for i, d in np.argwhere(np.isnan(matrix))]
     if missing:
         raise DataError(f"incomplete score table; missing cells: {missing}")
@@ -35,9 +35,9 @@ class AggregateRow:
     mean_auroc: float
 
 
-def aggregate_report(scores: ScoreTable, head: str = BEST_HEAD) -> list[AggregateRow]:
+def aggregate_report(scores: ScoreTable) -> list[AggregateRow]:
     """Mean rank (average ranks on exact ties) and mean AUROC per model."""
-    models, _, matrix = _complete_matrix(scores, head)
+    models, _, matrix = _complete_matrix(scores)
     # rank 1 = highest AUROC within each dataset
     ranks = np.stack(
         [average_ranks(-matrix[:, d]) for d in range(matrix.shape[1])], axis=1
@@ -66,10 +66,10 @@ class WinMatrixResult:
             raise ValueError("matrix shapes must match the model list")
 
 
-def win_matrix(scores: ScoreTable, epsilon: float = 0.01, head: str = BEST_HEAD) -> WinMatrixResult:
+def win_matrix(scores: ScoreTable, epsilon: float = 0.01) -> WinMatrixResult:
     """Pairwise win and tie fractions under the ranking's tie rule
     (``harness.scores.beats``) at ``epsilon``."""
-    models, datasets, matrix = _complete_matrix(scores, head)
+    models, datasets, matrix = _complete_matrix(scores)
     wins, ties, _ = pairwise_outcomes(matrix, epsilon)
     return WinMatrixResult(tuple(models), wins / len(datasets), ties / len(datasets))
 
@@ -89,11 +89,10 @@ def baseline_comparison(
     baseline: str,
     near_win_epsilon: float = 0.01,
     epsilon: float = 0.01,
-    head: str = BEST_HEAD,
 ) -> BaselineComparison:
     """Per dataset, the share of other models strictly above the baseline and
     the share that beat it under the ranking's tie rule at ``epsilon``."""
-    models, datasets, matrix = _complete_matrix(scores, head)
+    models, datasets, matrix = _complete_matrix(scores)
     if baseline not in models:
         raise DataError(f"baseline {baseline!r} missing from the score table")
     b = models.index(baseline)

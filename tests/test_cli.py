@@ -68,8 +68,7 @@ class TestFingerprintCommand:
             ["fingerprint", "--input", str(plain), "--length", "64", "--output", str(out)]
         )
         assert code == EXIT_OK
-        table = load_embeddings(out)
-        assert table.vectors.shape == (3, 64)
+        assert load_embeddings(out).shape == (3, 64)
 
     def test_bad_smiles_is_data_error(self, tmp_path, capsys):
         plain = tmp_path / "mols.smi"
@@ -130,6 +129,26 @@ class TestSplitCommand:
         payload = json.loads(out.read_text())
         assert payload["dropped_rows"] == [1]
         assert 1 not in set(payload["train"]) | set(payload["test"])
+
+
+    def test_blank_smiles_is_a_dropped_row(self, tmp_path):
+        # a blank line is no data row; a blank SMILES cell is one, dropped
+        path = tmp_path / "d.csv"
+        path.write_text("smiles,activity\nCCO,1\n ,0\nc1ccccc1,1\n\nC1CCCCC1,0\n")
+        out = tmp_path / "split.json"
+        code = main(
+            [
+                "split",
+                "--input", str(path),
+                "--smiles-column", "smiles",
+                "--frac-train", "0.5",
+                "--output", str(out),
+            ]
+        )
+        assert code == EXIT_OK
+        payload = json.loads(out.read_text())
+        assert payload["dropped_rows"] == [1]
+        assert sorted(payload["train"] + payload["test"]) == [0, 2, 3]
 
 
 def _evaluate_config(dataset_csv, representations):
@@ -229,6 +248,97 @@ def test_out_of_range_value_is_config_error(
     paths["bbt_seed"].write_text(json.dumps({**config, "bbt": {"seed": -3}}))
     assert main([arg.format(**paths) for arg in argv]) == EXIT_CONFIG
     assert not paths["out"].exists()
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+
+
+_SHORT = ["--input", "{short}", "--smiles-column", "smiles", "--output", "{out}"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, named",
+    [
+        pytest.param(
+            ["evaluate", "--config", "{short_config}", "--output-dir", "{out}"],
+            EXIT_DATA,
+            "short.csv row 4",
+            id="evaluate-short-row",
+        ),
+        pytest.param(["split", *_SHORT], EXIT_DATA, "short.csv row 4", id="split-short-row"),
+        pytest.param(
+            ["fingerprint", *_SHORT], EXIT_DATA, "short.csv row 4", id="fingerprint-short-row"
+        ),
+        pytest.param(
+            ["split", "--input", "{latin_csv}", "--smiles-column", "smiles", "--output", "{out}"],
+            EXIT_DATA,
+            "latin.csv row 3",
+            id="split-not-utf8",
+        ),
+        pytest.param(
+            ["fingerprint", "--input", "{latin_smi}", "--output", "{out}"],
+            EXIT_DATA,
+            "latin.smi row 2",
+            id="fingerprint-not-utf8",
+        ),
+        pytest.param(
+            ["report", "--scores", "{latin_scores}", "--baseline", "alpha", "--output-dir", "{out}"],
+            EXIT_DATA,
+            "latin_scores.csv row 2",
+            id="report-scores-not-utf8",
+        ),
+        pytest.param(
+            ["evaluate", "--config", "{latin_config}", "--output-dir", "{out}"],
+            EXIT_CONFIG,
+            "latin.json row 1",
+            id="evaluate-config-not-utf8",
+        ),
+        pytest.param(
+            ["compare", "--scores", "{range_scores}", "--output-dir", "{out}"],
+            EXIT_DATA,
+            "range.csv row 3",
+            id="compare-auroc-out-of-range",
+        ),
+        pytest.param(
+            ["report", "--scores", "{range_scores}", "--baseline", "alpha", "--output-dir", "{out}"],
+            EXIT_DATA,
+            "range.csv row 3",
+            id="report-auroc-out-of-range",
+        ),
+        pytest.param(
+            ["fingerprint", "--input", "{blank}", "--smiles-column", "smiles", "--output", "{out}"],
+            EXIT_DATA,
+            "blank.csv entry 2",
+            id="fingerprint-blank-smiles",
+        ),
+    ],
+)
+def test_malformed_input_names_the_file(argv, code, named, dataset_csv, tmp_path, capsys):
+    lines = dataset_csv.read_text().splitlines()
+    paths = {
+        "short": tmp_path / "short.csv",
+        "short_config": tmp_path / "short.json",
+        "latin_csv": tmp_path / "latin.csv",
+        "latin_smi": tmp_path / "latin.smi",
+        "latin_scores": tmp_path / "latin_scores.csv",
+        "latin_config": tmp_path / "latin.json",
+        "range_scores": tmp_path / "range.csv",
+        "blank": tmp_path / "blank.csv",
+        "out": tmp_path / "out",
+    }
+    # row 4 of short.csv holds a SMILES and no activity cell
+    paths["short"].write_text("\n".join([*lines[:3], "c1ccccc1O", *lines[3:]]) + "\n")
+    config = _evaluate_config(paths["short"], [("ECFP-count", "ecfp")])
+    paths["short_config"].write_text(json.dumps(config))
+    # Latin-1 bytes (0xe9 is "e" with an acute accent) are not UTF-8
+    paths["latin_csv"].write_bytes(b"smiles,activity\nCCO,1\nCC\xe9,0\n")
+    paths["latin_smi"].write_bytes(b"CCO\nCC\xe9\n")
+    paths["latin_scores"].write_bytes(b"model,dataset,head,auroc\nalpha,d\xe9,best,0.5\n")
+    paths["latin_config"].write_bytes(json.dumps(config).replace("mini", "m\xe9").encode("latin-1"))
+    paths["range_scores"].write_text(
+        "model,dataset,head,auroc\nalpha,d0,best,0.5\nbeta,d0,best,1.5\n"
+    )
+    paths["blank"].write_text("smiles,name\nCCO,a\nCCN,b\n,c\nCCC,d\n")
+    assert main([arg.format(**paths) for arg in argv]) == code
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
 

@@ -89,8 +89,7 @@ class TestLoadDataset:
 class TestEmbeddings:
     def test_csv(self, tmp_path):
         path = _write(tmp_path / "e.csv", "0.5,1.5\n-1.0,2.0\n0.0,3.5\n")
-        table = load_embeddings(path)
-        assert table.vectors.shape == (3, 2)
+        assert load_embeddings(path).shape == (3, 2)
 
     def test_binary_equals_csv(self, tmp_path):
         vectors = np.array([[0.5, 1.5], [-1.0, 2.0], [0.0, 3.5]])
@@ -99,7 +98,7 @@ class TestEmbeddings:
         from_binary = load_embeddings(emb_path)
         csv_path = _write(tmp_path / "e.csv", "0.5,1.5\n-1.0,2.0\n0.0,3.5\n")
         from_csv = load_embeddings(csv_path)
-        assert np.array_equal(from_binary.vectors, from_csv.vectors)
+        assert np.array_equal(from_binary, from_csv)
 
     def test_nan_rejected(self, tmp_path):
         path = _write(tmp_path / "e.csv", "0.5,NaN\n")
@@ -126,7 +125,7 @@ class TestEmbeddings:
 
     def test_header_row_tolerated(self, tmp_path):
         path = _write(tmp_path / "e.csv", "a,b\n1.0,2.0\n")
-        assert load_embeddings(path).vectors.shape == (1, 2)
+        assert load_embeddings(path).shape == (1, 2)
 
 
 def _toy_dataset(smiles, labels):
