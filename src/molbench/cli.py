@@ -134,6 +134,10 @@ def _cmd_compare(args) -> int:
 def _cmd_report(args) -> int:
     scores = ScoreTable.from_csv(args.scores)
     if args.config:
+        for flag, value in (("--baseline", args.baseline),
+                            ("--near-win-epsilon", args.near_win_epsilon)):
+            if value is not None:
+                raise ConfigError(f"{flag} cannot be combined with --config, which sets it")
         config = load_config(args.config)
         baseline = config.baseline
         near_win = config.near_win_epsilon
@@ -141,7 +145,9 @@ def _cmd_report(args) -> int:
     else:
         baseline = args.baseline
         near_win = args.near_win_epsilon
-        if not 0.0 <= near_win < math.inf:
+        if near_win is None:
+            near_win = BenchmarkConfig.near_win_epsilon
+        elif not 0.0 <= near_win < math.inf:
             raise ConfigError(f"--near-win-epsilon must be finite and >= 0, got {near_win}")
         epsilon_tie = BBTConfig().epsilon_tie  # as compare without --config
     if baseline is None:
@@ -200,10 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="score table -> aggregate report tables")
     p.add_argument("--scores", required=True)
     p.add_argument("--config", default=None)
-    p.add_argument("--baseline", default=None)
-    p.add_argument(
-        "--near-win-epsilon", type=float, default=BenchmarkConfig.near_win_epsilon
-    )
+    p.add_argument("--baseline", help="not with --config")
+    p.add_argument("--near-win-epsilon", type=float,
+                   help=f"not with --config (default: {BenchmarkConfig.near_win_epsilon})")
     p.add_argument("--output-dir", required=True)
     p.set_defaults(func=_cmd_report)
     return parser

@@ -14,7 +14,7 @@ import logging
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -75,6 +75,14 @@ def read_text(path: Union[str, Path]) -> str:
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise DataError(f"{path} row {line}: not UTF-8 text ({exc.reason})") from None
+
+
+def write_csv(path: Union[str, Path], header: Sequence, rows: Iterable[Sequence]) -> None:
+    """Write a UTF-8 CSV file: ``header``, then each of ``rows``."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def read_smiles_table(
@@ -227,11 +235,23 @@ def _read_binary_embeddings(handle, path: Path) -> np.ndarray:
     return data.reshape(rows, dim)
 
 
+def _utf8_lines(handle, path: Path):
+    """A binary file's lines as text, decoded one at a time (an embedding CSV
+    can be tens of MB); bytes that are not UTF-8 are a DataError naming the
+    file and the row. A lone ``\\r`` ends a line too, as in text mode."""
+    for number, line in enumerate(handle, start=1):
+        try:
+            text = line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path} row {number}: not UTF-8 text ({exc.reason})") from None
+        yield from text.splitlines(keepends=True)
+
+
 def _read_csv_embeddings(path: Path) -> np.ndarray:
     rows: list[list[float]] = []
     width = None
-    with open(path, newline="", encoding="utf-8") as handle:
-        for row_number, row in enumerate(csv.reader(handle), start=1):
+    with open(path, "rb") as handle:
+        for row_number, row in enumerate(csv.reader(_utf8_lines(handle, path)), start=1):
             if not row:
                 continue
             try:
@@ -270,12 +290,6 @@ def write_embeddings(path: Union[str, Path], vectors: np.ndarray) -> None:
 def write_matrix_csv(path: Union[str, Path], matrix: np.ndarray) -> None:
     """Write a feature matrix as CSV with columns f0..f{n-1}."""
     matrix = np.asarray(matrix)
-    integral = np.issubdtype(matrix.dtype, np.integer)
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([f"f{i}" for i in range(matrix.shape[1])])
-        for row in matrix:
-            if integral:
-                writer.writerow([int(v) for v in row])
-            else:
-                writer.writerow([repr(float(v)) for v in row])
+    if not np.issubdtype(matrix.dtype, np.integer):
+        matrix = matrix.astype(np.float64)  # each cell written as repr(float)
+    write_csv(path, [f"f{i}" for i in range(matrix.shape[1])], (row.tolist() for row in matrix))

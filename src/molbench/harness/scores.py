@@ -12,11 +12,12 @@ from typing import Iterable, Optional, Union
 import numpy as np
 
 from ..errors import DataError
-from .datasets import read_text
+from .datasets import read_text, write_csv
 
 HEAD_ORDER = ("knn", "logreg", "random_forest")
 BEST_HEAD = "best"
 _HEAD_SORT = {head: i for i, head in enumerate((*HEAD_ORDER, BEST_HEAD))}
+_HEADER = ["model", "dataset", "head", "auroc"]
 
 
 @dataclass(frozen=True)
@@ -76,20 +77,15 @@ class ScoreTable:
         return isinstance(other, ScoreTable) and self._records == other._records
 
     def to_csv(self, path: Union[str, Path]) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["model", "dataset", "head", "auroc"])
-            for record in self.records():
-                writer.writerow(
-                    [record.model, record.dataset, record.head, f"{record.auroc:.6f}"]
-                )
+        rows = ([r.model, r.dataset, r.head, f"{r.auroc:.6f}"] for r in self.records())
+        write_csv(path, _HEADER, rows)
 
     @classmethod
     def from_csv(cls, path: Union[str, Path]) -> "ScoreTable":
         table = cls()
         reader = csv.reader(io.StringIO(read_text(path), newline=""))
         header = next(reader, None)
-        if header != ["model", "dataset", "head", "auroc"]:
+        if header != _HEADER:
             raise DataError(f"{path}: not a score table (header {header})")
         for row in reader:
             if not row:

@@ -9,14 +9,13 @@ from the same config reproduces byte-identical outputs.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import logging
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import astuple, dataclass, field
+from dataclasses import MISSING, astuple, dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Union
 
@@ -38,7 +37,7 @@ from .harness import (
     scaffold_split,
     tune_and_evaluate,
 )
-from .harness.datasets import read_text
+from .harness.datasets import read_text, write_csv
 from .harness.evaluate import DatasetSkipped, default_specs
 from .reports import (
     aggregate_report,
@@ -63,6 +62,10 @@ class DatasetEntry:
     smiles_column: str
     task_columns: tuple[str, ...]
 
+    def __post_init__(self):
+        if not self.task_columns:
+            raise ValueError("at least one task column is required")
+
 
 @dataclass(frozen=True)
 class RepresentationEntry:
@@ -83,8 +86,36 @@ class BenchmarkConfig:
     near_win_epsilon: float = 0.01
     keep_largest_fragment: bool = False
 
+    def __post_init__(self):
+        dataset_names = [d.name for d in self.datasets]
+        for what, names in (
+            ("dataset", dataset_names),
+            ("representation", [r.name for r in self.representations]),
+        ):
+            if not names:
+                raise ValueError(f"at least one {what} is required")
+            if len(set(names)) != len(names):
+                raise ValueError(f"duplicate {what} names: {names}")
+        for rep in self.representations:
+            missing = [d for d in dataset_names if d not in rep.embedding_paths]
+            if rep.kind == "embedding" and missing:
+                raise ValueError(
+                    f"representation {rep.name!r} lacks embedding paths for datasets {missing}"
+                )
+        if not 0.0 < self.frac_train < 1.0:
+            raise ValueError(f"frac_train must be in (0, 1), got {self.frac_train}")
+        if self.near_win_epsilon < 0.0:
+            raise ValueError(f"near_win_epsilon must be >= 0, got {self.near_win_epsilon}")
+        if self.classifier_seed < 0:
+            raise ValueError(f"classifier_seed must be >= 0, got {self.classifier_seed}")
 
-_MISSING = object()
+
+@dataclass(frozen=True)
+class _SplitSection:
+    """The config's ``split`` object. It also accepts ``seed`` and ignores
+    it: the scaffold split is deterministic."""
+
+    frac_train: float = BenchmarkConfig.frac_train
 
 
 def _json_type(expected: str, *types: type):
@@ -119,147 +150,102 @@ def _array_of(convert):
     return lambda value: tuple(convert(item) for item in _ARRAY(value))
 
 
-def _get(mapping: dict, key: str, context: str, convert, default=_MISSING):
-    """``convert(mapping[key])``, or ``default`` when the key is absent.
+#: the JSON converter of each annotation ``_read`` accepts, keyed by its
+#: source text (the config modules postpone the evaluation of annotations)
+_CONVERTERS = {
+    "str": _STR,
+    "int": _INT,
+    "float": _float,
+    "bool": _BOOL,
+    "tuple[str, ...]": _array_of(_STR),
+    "tuple[float, float]": _array_of(_float),
+}
 
-    A ``mapping`` that is not an object, a missing required key or a value
-    ``convert`` rejects is a ConfigError.
-    """
+
+def _get(mapping: dict, key: str, context: str, convert):
+    """``convert(mapping[key])``; a ``mapping`` that is not an object, a
+    missing key or a value ``convert`` rejects is a ConfigError."""
     if not isinstance(mapping, dict):
         raise ConfigError(f"{context} must be a JSON object, got {mapping!r}")
     if key not in mapping:
-        if default is _MISSING:
-            raise ConfigError(f"{context}: missing required key {key!r}")
-        return default
+        raise ConfigError(f"{context}: missing required key {key!r}")
     try:
         return convert(mapping[key])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{context}.{key}: bad value {mapping[key]!r} ({exc})") from None
 
 
-def _present(mapping: dict, context: str, **converters) -> dict:
-    """``{key: convert(mapping[key])}`` for each key of ``converters`` that
-    ``mapping`` (a JSON object) holds; an absent key is left to the dataclass
-    default."""
-    return {
-        key: _get(mapping, key, context, convert)
-        for key, convert in converters.items()
-        if key in mapping
-    }
+def _read(cls, raw, context: str, known=(), **given):
+    """``cls`` built from the JSON object ``raw`` and the field values ``given``.
 
-
-def _build(cls, context: str, **values):
-    """``cls(**values)``, its own validation failures raised as ConfigError."""
+    Every other field is read from the key of its name through the converter
+    of its annotation, or takes its default when the key is absent. A key
+    that names neither such a field nor one of ``known`` (keys the caller
+    reads itself) is a ConfigError, and so is a missing required field or a
+    ValueError from ``cls``.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{context} must be a JSON object, got {raw!r}")
+    read = [f for f in fields(cls) if f.name not in given]
+    allowed = sorted({f.name for f in read}.union(known))
+    for key in raw:
+        if key not in allowed:
+            raise ConfigError(
+                f"{context}: unknown key {key!r} (known keys: {', '.join(allowed)})"
+            )
+    values = dict(given)
+    for f in read:
+        convert = _CONVERTERS[f.type]
+        if f.name in raw or (f.default is MISSING and f.default_factory is MISSING):
+            values[f.name] = _get(raw, f.name, context, convert)
     try:
         return cls(**values)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{context}: {exc}") from None
 
 
 def parse_config(document: dict) -> BenchmarkConfig:
-    """Validate a configuration dictionary (ConfigError on any defect).
+    """Validate a configuration dictionary (ConfigError on any defect)."""
+    if _get(document, "version", "config", _INT) != CONFIG_VERSION:
+        raise ConfigError(f"unsupported config version {document['version']!r}")
 
-    ``split.seed`` is accepted and ignored: the scaffold split is deterministic.
-    """
-    if not isinstance(document, dict):
-        raise ConfigError("config must be a JSON object")
-    version = document.get("version")
-    if type(version) is not int or version != CONFIG_VERSION:
-        raise ConfigError(f"unsupported config version {version!r}")
-
-    dataset_entries = []
-    for idx, raw in enumerate(_get(document, "datasets", "config", _ARRAY)):
-        context = f"datasets[{idx}]"
-        entry = DatasetEntry(
-            name=_get(raw, "name", context, _STR),
-            path=_get(raw, "path", context, _STR),
-            smiles_column=_get(raw, "smiles_column", context, _STR),
-            task_columns=_get(raw, "task_columns", context, _array_of(_STR)),
-        )
-        if not entry.task_columns:
-            raise ConfigError(f"{context}.task_columns: at least one task column is required")
-        dataset_entries.append(entry)
-    if not dataset_entries:
-        raise ConfigError("config needs at least one dataset")
-    names = [d.name for d in dataset_entries]
-    if len(set(names)) != len(names):
-        raise ConfigError(f"duplicate dataset names: {names}")
-
-    rep_entries = []
+    datasets = tuple(
+        _read(DatasetEntry, raw, f"datasets[{idx}]")
+        for idx, raw in enumerate(_get(document, "datasets", "config", _ARRAY))
+    )
+    representations = []
     for idx, raw in enumerate(_get(document, "representations", "config", _ARRAY)):
         context = f"representations[{idx}]"
-        name = _get(raw, "name", context, _STR)
         rep_type = _get(raw, "type", context, _STR)
         if rep_type == "fingerprint":
-            cfg = _build(
-                FingerprintConfig,
-                context,
-                kind=_get(raw, "kind", context, _STR),
-                **_present(raw, context, radius=_INT, length=_INT, counted=_BOOL),
-            )
-            rep_entries.append(
-                RepresentationEntry(name=name, kind="fingerprint", fingerprint=cfg)
-            )
+            fingerprint = _read(FingerprintConfig, raw, context, known=("name", "type"))
+            rep = RepresentationEntry(_get(raw, "name", context, _STR), rep_type, fingerprint)
         elif rep_type == "embedding":
             raw_paths = _get(raw, "paths", context, _OBJECT)
             paths = {key: _get(raw_paths, key, f"{context}.paths", _STR) for key in raw_paths}
-            missing = [d for d in names if d not in paths]
-            if missing:
-                raise ConfigError(
-                    f"{context}: representation {name!r} lacks embedding paths "
-                    f"for datasets {missing}"
-                )
-            rep_entries.append(
-                RepresentationEntry(name=name, kind="embedding", embedding_paths=paths)
-            )
+            rep = _read(RepresentationEntry, raw, context, known=("type", "paths"),
+                        kind=rep_type, fingerprint=None, embedding_paths=paths)
         else:
             raise ConfigError(f"{context}: unknown representation type {rep_type!r}")
-    if not rep_entries:
-        raise ConfigError("config needs at least one representation")
-    rep_names = [r.name for r in rep_entries]
-    if len(set(rep_names)) != len(rep_names):
-        raise ConfigError(f"duplicate representation names: {rep_names}")
-
-    bbt_cfg = _build(
-        BBTConfig,
-        "bbt",
-        **_present(
-            _get(document, "bbt", "config", _OBJECT, {}),
-            "bbt",
-            epsilon_tie=_float,
-            rope=_array_of(_float),
-            equivalence_mass=_float,
-            hdi_mass=_float,
-            chains=_INT,
-            draws_per_chain=_INT,
-            warmup=_INT,
-            seed=_INT,
-        ),
+        representations.append(rep)
+    split = _read(_SplitSection, document.get("split", {}), "split", known=("seed",))
+    config = _read(
+        BenchmarkConfig,
+        document,
+        "config",
+        known=("version", "datasets", "representations", "split", "bbt"),
+        datasets=datasets,
+        representations=tuple(representations),
+        frac_train=split.frac_train,
+        bbt=_read(BBTConfig, document.get("bbt", {}), "bbt"),
     )
-    config = BenchmarkConfig(
-        datasets=tuple(dataset_entries),
-        representations=tuple(rep_entries),
-        bbt=bbt_cfg,
-        **_present(_get(document, "split", "config", _OBJECT, {}), "split", frac_train=_float),
-        **_present(
-            document,
-            "config",
-            classifier_seed=_INT,
-            baseline=_STR,
-            near_win_epsilon=_float,
-            keep_largest_fragment=_BOOL,
-        ),
-    )
+    # checked here, not in BenchmarkConfig, so that a config built in Python
+    # for one cell need not hold the default baseline
+    rep_names = [r.name for r in config.representations]
     if config.baseline not in rep_names:
         raise ConfigError(
             f"baseline {config.baseline!r} is not among representations {rep_names}"
         )
-    if not 0.0 < config.frac_train < 1.0:
-        raise ConfigError(f"split.frac_train must be in (0, 1), got {config.frac_train}")
-    if config.near_win_epsilon < 0.0:
-        raise ConfigError(f"near_win_epsilon must be >= 0, got {config.near_win_epsilon}")
-    if config.classifier_seed < 0:
-        raise ConfigError(f"classifier_seed must be >= 0, got {config.classifier_seed}")
     return config
 
 
@@ -432,23 +418,13 @@ def write_comparison_outputs(
     table = build_win_table(scores, bbt_config.epsilon_tie)
     posterior = sample_posterior(table, bbt_config)
     ranking = rank_models(posterior, bbt_config)
-    with open(out_dir / "pairwise_summary.csv", "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["pair", "mean", "hdi_low", "hdi_high", "p_in_rope", "p_above_half", "decision"]
-        )
-        for summary in ranking.pairs:
-            writer.writerow(
-                [
-                    f"{summary.model_i}>{summary.model_j}",
-                    f"{summary.mean:.6f}",
-                    f"{summary.hdi_low:.6f}",
-                    f"{summary.hdi_high:.6f}",
-                    f"{summary.p_in_rope:.6f}",
-                    f"{summary.p_above_half:.6f}",
-                    decide(summary, bbt_config).value,
-                ]
-            )
+    header = ["pair", "mean", "hdi_low", "hdi_high", "p_in_rope", "p_above_half", "decision"]
+    rows = (
+        [f"{s.model_i}>{s.model_j}", f"{s.mean:.6f}", f"{s.hdi_low:.6f}", f"{s.hdi_high:.6f}",
+         f"{s.p_in_rope:.6f}", f"{s.p_above_half:.6f}", decide(s, bbt_config).value]
+        for s in ranking.pairs
+    )
+    write_csv(out_dir / "pairwise_summary.csv", header, rows)
 
     ppc = posterior_predictive_check(posterior, table, seed=bbt_config.seed)
     payload = {

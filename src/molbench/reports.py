@@ -7,7 +7,6 @@ comparisons against a designated baseline representation.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
@@ -15,6 +14,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DataError
+from .harness.datasets import write_csv
 from .harness.metrics import average_ranks
 from .harness.scores import ScoreTable, beats, pairwise_outcomes
 
@@ -114,47 +114,31 @@ def baseline_comparison(
 
 
 def write_aggregate_csv(path: Union[str, Path], rows: list[AggregateRow]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["model", "mean_rank", "mean_auroc"])
-        for row in rows:
-            writer.writerow([row.model, f"{row.mean_rank:.2f}", f"{row.mean_auroc:.6f}"])
+    lines = ([row.model, f"{row.mean_rank:.2f}", f"{row.mean_auroc:.6f}"] for row in rows)
+    write_csv(path, ["model", "mean_rank", "mean_auroc"], lines)
 
 
 def write_win_matrix_csv(path: Union[str, Path], result: WinMatrixResult) -> None:
     """Long format: one row per ordered model pair."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["model_i", "model_j", "win_fraction", "tie_fraction"])
-        for i, model_i in enumerate(result.models):
-            for j, model_j in enumerate(result.models):
-                if i == j:
-                    continue
-                writer.writerow(
-                    [
-                        model_i,
-                        model_j,
-                        f"{result.win_fraction[i, j]:.6f}",
-                        f"{result.tie_fraction[i, j]:.6f}",
-                    ]
-                )
+    models, wins, ties = result.models, result.win_fraction, result.tie_fraction
+    rows = (
+        [model_i, model_j, f"{wins[i, j]:.6f}", f"{ties[i, j]:.6f}"]
+        for i, model_i in enumerate(models)
+        for j, model_j in enumerate(models)
+        if i != j
+    )
+    write_csv(path, ["model_i", "model_j", "win_fraction", "tie_fraction"], rows)
 
 
 def write_baseline_csv(path: Union[str, Path], result: BaselineComparison) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["dataset", "share_above_baseline_strict", "share_above_baseline_epsilon"]
-        )
-        for dataset in sorted(result.per_dataset):
-            strict, beyond = result.per_dataset[dataset]
-            writer.writerow([dataset, f"{strict:.6f}", f"{beyond:.6f}"])
+    header = ["dataset", "share_above_baseline_strict", "share_above_baseline_epsilon"]
+    rows = (
+        [dataset, f"{strict:.6f}", f"{beyond:.6f}"]
+        for dataset, (strict, beyond) in sorted(result.per_dataset.items())
+    )
+    write_csv(path, header, rows)
 
 
 def write_near_win_csv(path: Union[str, Path], result: BaselineComparison) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["model", "wins_or_near_wins"])
-        ordered = sorted(result.win_or_near_win.items(), key=lambda kv: (-kv[1], kv[0]))
-        for model, count in ordered:
-            writer.writerow([model, count])
+    ordered = sorted(result.win_or_near_win.items(), key=lambda kv: (-kv[1], kv[0]))
+    write_csv(path, ["model", "wins_or_near_wins"], ordered)

@@ -252,6 +252,45 @@ def test_out_of_range_value_is_config_error(
     assert named in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        pytest.param(
+            ["evaluate", "--config", "{misspelled}", "--output-dir", "{out}"],
+            "'clasifier_seed'",
+            id="evaluate-unknown-key",
+        ),
+        pytest.param(
+            [*_REPORT, "--config", "{config}", "--baseline", "nonexistent"],
+            "--baseline",
+            id="report-config-baseline",
+        ),
+        pytest.param(
+            [*_REPORT, "--config", "{config}", "--near-win-epsilon", "-5"],
+            "--near-win-epsilon",
+            id="report-config-near_win",
+        ),
+    ],
+)
+def test_input_that_would_be_ignored_is_config_error(
+    argv, named, dataset_csv, scores_csv, tmp_path, capsys
+):
+    config = _evaluate_config(dataset_csv, [("alpha", "ecfp")])
+    config["baseline"] = "alpha"  # a model of scores_csv
+    paths = {
+        "scores": scores_csv,
+        "config": tmp_path / "config.json",
+        "misspelled": tmp_path / "misspelled.json",
+        "out": tmp_path / "out",
+    }
+    paths["config"].write_text(json.dumps(config))
+    paths["misspelled"].write_text(json.dumps({**config, "clasifier_seed": 3}))
+    assert main([arg.format(**paths) for arg in argv]) == EXIT_CONFIG
+    assert not paths["out"].exists()
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+
+
 _SHORT = ["--input", "{short}", "--smiles-column", "smiles", "--output", "{out}"]
 
 
@@ -293,6 +332,12 @@ _SHORT = ["--input", "{short}", "--smiles-column", "smiles", "--output", "{out}"
             id="evaluate-config-not-utf8",
         ),
         pytest.param(
+            ["evaluate", "--config", "{latin_emb_config}", "--output-dir", "{out}"],
+            EXIT_DATA,
+            "latin_emb.csv row 3",
+            id="evaluate-embedding-not-utf8",
+        ),
+        pytest.param(
             ["compare", "--scores", "{range_scores}", "--output-dir", "{out}"],
             EXIT_DATA,
             "range.csv row 3",
@@ -321,6 +366,8 @@ def test_malformed_input_names_the_file(argv, code, named, dataset_csv, tmp_path
         "latin_smi": tmp_path / "latin.smi",
         "latin_scores": tmp_path / "latin_scores.csv",
         "latin_config": tmp_path / "latin.json",
+        "latin_emb": tmp_path / "latin_emb.csv",
+        "latin_emb_config": tmp_path / "latin_emb.json",
         "range_scores": tmp_path / "range.csv",
         "blank": tmp_path / "blank.csv",
         "out": tmp_path / "out",
@@ -334,6 +381,13 @@ def test_malformed_input_names_the_file(argv, code, named, dataset_csv, tmp_path
     paths["latin_smi"].write_bytes(b"CCO\nCC\xe9\n")
     paths["latin_scores"].write_bytes(b"model,dataset,head,auroc\nalpha,d\xe9,best,0.5\n")
     paths["latin_config"].write_bytes(json.dumps(config).replace("mini", "m\xe9").encode("latin-1"))
+    paths["latin_emb"].write_bytes(b"0.1,0.2\n0.3,0.4\n0.5,0.\xe9\n")
+    emb_config = _evaluate_config(dataset_csv, [])
+    emb_config["representations"] = [
+        {"name": "emb", "type": "embedding", "paths": {"mini": str(paths["latin_emb"])}}
+    ]
+    emb_config["baseline"] = "emb"
+    paths["latin_emb_config"].write_text(json.dumps(emb_config))
     paths["range_scores"].write_text(
         "model,dataset,head,auroc\nalpha,d0,best,0.5\nbeta,d0,best,1.5\n"
     )

@@ -162,6 +162,50 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             parse_config(document)
 
+    @pytest.mark.parametrize(
+        "path, key",
+        [
+            pytest.param((), "clasifier_seed", id="top-level"),
+            pytest.param(("datasets", 0), "smiles_col", id="dataset"),
+            pytest.param(("representations", 0), "raduis", id="fingerprint"),
+            pytest.param(("representations", 1), "radius", id="embedding-fingerprint-field"),
+            pytest.param(("representations", 1), "kind", id="embedding-kind"),
+            pytest.param(("split",), "frac_trian", id="split"),
+            pytest.param(("bbt",), "warmpu", id="bbt"),
+        ],
+    )
+    def test_unknown_key_is_config_error(self, workspace, path, key):
+        _, _, document = workspace
+        document = json.loads(json.dumps(document))
+        section = document
+        for step in path:
+            section = section[step]
+        section[key] = 3
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config(document)
+
+    def test_split_seed_is_accepted_and_ignored(self, workspace):
+        _, _, document = workspace
+        assert document["split"]["seed"] == 0
+        reseeded = json.loads(json.dumps(document))
+        reseeded["split"]["seed"] = 7
+        assert parse_config(reseeded) == parse_config(document)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("frac_train", 1.5, "frac_train"),
+            ("classifier_seed", -1, "classifier_seed"),
+            ("near_win_epsilon", -0.1, "near_win_epsilon"),
+            ("datasets", (), "at least one dataset"),
+            ("representations", (), "at least one representation"),
+        ],
+    )
+    def test_benchmark_config_checks_its_own_values(self, workspace, field, value, message):
+        config = parse_config(workspace[2])
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(config, **{field: value})
+
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
