@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hashing import hash_ints
+from .hashing import hash_ints, hash_rows
 from .molgraph import BondOrder, Molecule, neighborhood_hash, shortest_path_distances
 
 _TAG_ATOM_ENV = 11
@@ -126,19 +126,26 @@ def _pair_type(mol: Molecule, index: int) -> tuple[int, int, int]:
     )
 
 
-def atom_pair_identifiers(mol: Molecule) -> list[int]:
-    """One identifier per same-fragment heavy-atom pair within distance 30."""
+def atom_pair_identifiers(mol: Molecule) -> np.ndarray:
+    """One identifier per same-fragment heavy-atom pair within distance 30.
+
+    Pair (i, j), i < j, hashes the row (tag, low type, distance, high type),
+    the two atom types ordered as tuples; the pairs come in (i, j) order.
+    """
     distances = shortest_path_distances(mol)
-    types = [_pair_type(mol, i) for i in range(mol.n_atoms)]
-    identifiers = []
-    for i in range(mol.n_atoms):
-        for j in range(i + 1, mol.n_atoms):
-            d = int(distances[i, j])
-            if not 1 <= d <= MAX_PAIR_DISTANCE:
-                continue
-            low, high = sorted((types[i], types[j]))
-            identifiers.append(hash_ints(_TAG_PAIR, *low, d, *high))
-    return identifiers
+    types = np.array(
+        [_pair_type(mol, i) for i in range(mol.n_atoms)], dtype=np.int64
+    ).reshape(-1, 3)
+    first, second = np.triu_indices(mol.n_atoms, k=1)
+    d = distances[first, second].astype(np.int64)
+    keep = (d >= 1) & (d <= MAX_PAIR_DISTANCE)
+    low, high, d = types[first[keep]], types[second[keep]], d[keep]
+    # swap where the first differing type entry of the pair is larger
+    diff = low - high
+    swap = diff[np.arange(len(diff)), np.argmax(diff != 0, axis=1)] > 0
+    low[swap], high[swap] = high[swap], low[swap]
+    tag = np.full((len(d), 1), _TAG_PAIR, dtype=np.int64)
+    return hash_rows(np.hstack([tag, low, d[:, None], high]))
 
 
 def _torsion_type(mol: Molecule, index: int) -> tuple[int, int, int]:

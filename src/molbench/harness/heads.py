@@ -10,6 +10,15 @@ serves the whole grid and gives what a separate fit per value would:
 ``forest_scores`` grows one forest at the smallest ``min_samples_split`` and
 cuts it back for the larger ones.
 
+Every L-BFGS iterate of the logistic head lies in the span of the
+standardized fit rows Xs (the representer theorem). So when the fit rows are
+fewer than the features, the head fits w = Xs.T @ a with the n x n Gram
+matrix Xs @ Xs.T as the optimizer's metric: the iterates are, in exact
+arithmetic, those on w, at one n x n product a step instead of two n x d
+ones. The Gram matrix and the eval rows' products with the fit rows are
+built from blocks of standardized rows, so no standardized copy of X exists
+whole. Identical eval rows get identical scores.
+
 All three are fully deterministic: kNN breaks distance ties by fit-row
 index, the logistic fit uses a monotone quasi-Newton optimizer, and the
 forest draws its bootstrap from a per-tree seed stream and each node's
@@ -88,6 +97,16 @@ def knn_scores(X_fit, y_fit, X_eval, grid) -> list[np.ndarray]:
     return [labels[:, :k].mean(axis=1) for k in grid]
 
 
+def _log_loss(z: np.ndarray, y: np.ndarray, w_sq: float, reg_strength: float):
+    """Mean log-loss of the margins ``z`` plus w_sq / (2 * reg_strength * n),
+    and the residual (p - y) / n its gradient is built from."""
+    n = len(y)
+    margins = (2.0 * y - 1.0) * z
+    loss = float(np.mean(np.logaddexp(0.0, -margins)))
+    loss += w_sq / (2.0 * reg_strength * n)
+    return loss, (1.0 / (1.0 + np.exp(-z)) - y) / n
+
+
 def logistic_loss_and_grad(theta: np.ndarray, X: np.ndarray, y: np.ndarray, reg_strength: float):
     """Mean log-loss plus ||w||^2 / (2 * reg_strength * n), bias unpenalized.
 
@@ -97,23 +116,24 @@ def logistic_loss_and_grad(theta: np.ndarray, X: np.ndarray, y: np.ndarray, reg_
     """
     n, d = X.shape
     w, b = theta[:d], theta[d]
-    z = X @ w + b
-    sign = 2.0 * y - 1.0
-    margins = sign * z
-    loss = float(np.mean(np.logaddexp(0.0, -margins)))
-    loss += float(w @ w) / (2.0 * reg_strength * n)
-
-    p = 1.0 / (1.0 + np.exp(-z))
-    residual = (p - y) / n
+    loss, residual = _log_loss(X @ w + b, y, float(w @ w), reg_strength)
     grad = np.empty_like(theta)
     grad[:d] = X.T @ residual + w / (reg_strength * n)
     grad[d] = residual.sum()
     return loss, grad
 
 
-def _lbfgs_minimize(fun, x0, *, tol: float, max_iter: int, memory: int = 10):
-    """L-BFGS with Armijo backtracking; accepted steps strictly decrease f."""
-    x = np.asarray(x0, dtype=np.float64).copy()
+def _lbfgs_minimize(fun, size: int, *, tol: float, max_iter: int, memory: int = 10):
+    """L-BFGS from zero with Armijo backtracking; accepted steps strictly decrease f.
+
+    Inner products are <u, v> = u @ M v for a symmetric positive definite M
+    of the caller's. Every vector travels as a (2, size) pair, the vector
+    above its image under M, so the optimizer itself never multiplies by M:
+    ``fun`` takes the pair of x and returns f(x) and the pair of the
+    gradient under that inner product. With M the identity this is plain
+    L-BFGS. Returns x and the value of f at every accepted step.
+    """
+    x = np.zeros((2, size))
     f, g = fun(x)
     s_hist: list[np.ndarray] = []
     y_hist: list[np.ndarray] = []
@@ -121,31 +141,30 @@ def _lbfgs_minimize(fun, x0, *, tol: float, max_iter: int, memory: int = 10):
     history = [f]
 
     for _ in range(max_iter):
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= tol:
+        if float(g[0] @ g[1]) <= tol * tol:
             break
         # two-loop recursion
         q = g.copy()
         alphas = []
         for s, yv, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
-            a = rho * float(s @ q)
+            a = rho * float(s[0] @ q[1])
             alphas.append(a)
             q -= a * yv
         if y_hist:
             y_last = y_hist[-1]
-            gamma = float(s_hist[-1] @ y_last) / float(y_last @ y_last)
+            gamma = float(s_hist[-1][0] @ y_last[1]) / float(y_last[0] @ y_last[1])
             q *= gamma
         for (s, yv, rho), a in zip(
             zip(s_hist, y_hist, rho_hist), reversed(alphas)
         ):
-            beta = rho * float(yv @ q)
+            beta = rho * float(q[0] @ yv[1])
             q += (a - beta) * s
         direction = -q
-        if float(g @ direction) >= 0.0:
+        if float(g[0] @ direction[1]) >= 0.0:
             direction = -g  # fall back to steepest descent
 
         step = 1.0
-        g_dot_d = float(g @ direction)
+        g_dot_d = float(g[0] @ direction[1])
         accepted = False
         for _ in range(60):
             candidate = x + step * direction
@@ -159,7 +178,7 @@ def _lbfgs_minimize(fun, x0, *, tol: float, max_iter: int, memory: int = 10):
 
         s_vec = candidate - x
         y_vec = g_new - g
-        curvature = float(s_vec @ y_vec)
+        curvature = float(s_vec[0] @ y_vec[1])
         if curvature > 1e-12:
             s_hist.append(s_vec)
             y_hist.append(y_vec)
@@ -170,7 +189,7 @@ def _lbfgs_minimize(fun, x0, *, tol: float, max_iter: int, memory: int = 10):
                 rho_hist.pop(0)
         x, f, g = candidate, f_new, g_new
         history.append(f)
-    return x, history
+    return x[0], history
 
 
 _LOGREG_TOL = 1e-6  # L-BFGS stops at this gradient norm ...
@@ -180,32 +199,113 @@ _LOGREG_MAX_ITER = 10_000  # ... or after this many iterations
 def _fit_logreg(Xs: np.ndarray, y: np.ndarray, reg_strength: float):
     """Coefficients [w, b] on standardized features, and the loss at every
     accepted L-BFGS step (strictly decreasing)."""
-    return _lbfgs_minimize(
-        lambda theta: logistic_loss_and_grad(theta, Xs, y, reg_strength),
-        np.zeros(Xs.shape[1] + 1),
-        tol=_LOGREG_TOL,
-        max_iter=_LOGREG_MAX_ITER,
-    )
+
+    def fun(theta):
+        loss, grad = logistic_loss_and_grad(theta[0], Xs, y, reg_strength)
+        return loss, np.stack([grad, grad])
+
+    return _lbfgs_minimize(fun, Xs.shape[1] + 1, tol=_LOGREG_TOL, max_iter=_LOGREG_MAX_ITER)
+
+
+def _fit_logreg_span(gram: np.ndarray, y: np.ndarray, reg_strength: float):
+    """``_fit_logreg`` with w = Xs.T @ a, from the Gram matrix Xs @ Xs.T alone.
+
+    Returns [a, b] and the loss history. The inner product of (a, b) pairs is
+    that of their (w, b), a.T @ gram @ a' + b b', and the gradient in a is
+    the residual plus a / (reg_strength * n), so the L-BFGS iterates are
+    ``_fit_logreg``'s mapped into the fit rows' span; a step costs one
+    product with the Gram matrix.
+    """
+    n = len(y)
+
+    def fun(theta):
+        a, gram_a, b = theta[0, :n], theta[1, :n], theta[0, n]
+        loss, residual = _log_loss(gram_a + b, y, float(a @ gram_a), reg_strength)
+        grad = np.empty_like(theta)
+        grad[0, :n] = residual + a / (reg_strength * n)
+        grad[:, n] = residual.sum()
+        grad[1, :n] = gram @ grad[0, :n]
+        return loss, grad
+
+    return _lbfgs_minimize(fun, n + 1, tol=_LOGREG_TOL, max_iter=_LOGREG_MAX_ITER)
+
+
+# Most entries in one block of standardized rows or of raw columns
+_BLOCK_CELLS = 1 << 18
+
+
+def _standardized(X: np.ndarray, mean: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """(X - mean) / scale, with no temporary besides the result."""
+    out = X - mean
+    out /= scale
+    return out
+
+
+def _standardized_products(X: np.ndarray, X_fit: np.ndarray, mean, scale) -> np.ndarray:
+    """Xs @ Xs_fit.T, Xs and Xs_fit being X and X_fit standardized by
+    ``mean`` and ``scale``, built from blocks of standardized rows so that
+    neither standardized matrix exists whole."""
+    rows = max(1, _BLOCK_CELLS // X.shape[1])
+    out = np.empty((len(X), len(X_fit)))
+    for j in range(0, len(X_fit), rows):
+        fit_block = _standardized(X_fit[j : j + rows], mean, scale)
+        for i in range(0, len(X), rows):
+            block = _standardized(X[i : i + rows], mean, scale)
+            out[i : i + rows, j : j + rows] = block @ fit_block.T
+    return out
+
+
+def _first_equal_rows(X: np.ndarray) -> np.ndarray:
+    """For each row of a contiguous X, the index of the first row with the
+    same bytes; one sort of the rows as byte strings, no copy of X."""
+    if not X.shape[1]:
+        return np.zeros(len(X), dtype=np.intp)
+    keys = X.view(np.dtype((np.void, X.itemsize * X.shape[1]))).ravel()
+    order = np.argsort(keys, kind="stable")  # equal rows keep their order
+    ordered = keys[order]
+    starts = np.ones(len(X), dtype=bool)
+    starts[1:] = ordered[1:] != ordered[:-1]
+    first = np.empty(len(X), dtype=np.intp)
+    first[order] = order[np.flatnonzero(starts)[np.cumsum(starts) - 1]]
+    return first
 
 
 def logreg_scores(X_fit, y_fit, X_eval, grid) -> list[np.ndarray]:
     """L2-penalized logistic regression for each ``reg_strength`` of ``grid``.
 
     Features are standardized by the fit rows' mean and standard deviation,
-    once for the whole grid; each penalty is then fitted from zero.
+    once for the whole grid; each penalty is then fitted from zero. With
+    fewer fit rows than features the fit runs in the fit rows' span on their
+    Gram matrix (``_fit_logreg_span``). Identical eval rows take the score
+    of the first of them: a matrix product may round them apart, and AUROC
+    must see them tie.
     """
     if min(grid) <= 0:
         raise ValueError(f"reg_strength must be > 0, got {min(grid)}")
     X_fit, y_fit = check_X_y(X_fit, y_fit)
     X_eval = check_array(X_eval)
+    first = _first_equal_rows(X_eval)
     mean = X_fit.mean(axis=0)
-    scale = X_fit.std(axis=0)
+    # by column blocks: X_fit.std would centre a copy of all of X_fit
+    scale = np.empty(X_fit.shape[1])
+    step = max(1, _BLOCK_CELLS // len(X_fit))
+    for c in range(0, X_fit.shape[1], step):
+        scale[c : c + step] = X_fit[:, c : c + step].std(axis=0)
     scale[scale == 0.0] = 1.0  # constant columns stay zero after centering
-    Xs = (X_fit - mean) / scale
-    thetas = [_fit_logreg(Xs, y_fit, reg_strength)[0] for reg_strength in grid]
-    del Xs  # free the standardized fit rows before standardizing the eval rows
-    Xs_eval = (X_eval - mean) / scale
-    return [1.0 / (1.0 + np.exp(-(Xs_eval @ theta[:-1] + theta[-1]))) for theta in thetas]
+    if X_fit.shape[0] < X_fit.shape[1]:
+        gram = _standardized_products(X_fit, X_fit, mean, scale)
+        thetas = [_fit_logreg_span(gram, y_fit, reg_strength)[0] for reg_strength in grid]
+        del gram
+        features = _standardized_products(X_eval, X_fit, mean, scale)
+    else:
+        Xs = _standardized(X_fit, mean, scale)
+        thetas = [_fit_logreg(Xs, y_fit, reg_strength)[0] for reg_strength in grid]
+        del Xs  # free the standardized fit rows before standardizing the eval rows
+        features = _standardized(X_eval, mean, scale)
+    return [
+        (1.0 / (1.0 + np.exp(-(features @ theta[:-1] + theta[-1]))))[first]
+        for theta in thetas
+    ]
 
 
 # Most cells one batched split search may cover: rows x candidates, and for the

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import struct
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -42,4 +44,20 @@ def hash_ints(*values: int) -> int:
     h = _FNV_OFFSET
     for byte in data:
         h = ((h ^ byte) * _FNV_PRIME) & _MASK64
+    return mix64(h)
+
+
+def hash_rows(rows) -> np.ndarray:
+    """``hash_ints`` of every row of an int64 matrix, as a uint64 array.
+
+    FNV-1a runs over all rows at once, one little-endian byte column per
+    step, in wrapping uint64 arithmetic; a matrix of no rows gives no hashes.
+    """
+    rows = np.ascontiguousarray(rows, dtype="<i8")
+    data = rows.view(np.uint8).reshape(len(rows), 8 * rows.shape[1])
+    h = np.full(len(rows), _FNV_OFFSET, dtype=np.uint64)
+    prime = np.uint64(_FNV_PRIME)
+    for column in data.T:
+        h ^= column
+        h *= prime
     return mix64(h)

@@ -52,7 +52,7 @@ from .reports import (
 logger = logging.getLogger(__name__)
 
 CONFIG_VERSION = 1
-_GRID_REVISION = 3  # bump to invalidate caches when grids/heads change
+_GRID_REVISION = 4  # bump to invalidate caches when grids/heads change
 
 
 @dataclass(frozen=True)
@@ -73,6 +73,15 @@ class RepresentationEntry:
     kind: str  # "fingerprint" or "embedding"
     fingerprint: Optional[FingerprintConfig] = None
     embedding_paths: dict[str, str] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.kind not in ("fingerprint", "embedding"):
+            raise ValueError(f"kind must be 'fingerprint' or 'embedding', got {self.kind!r}")
+        if isinstance(self.fingerprint, FingerprintConfig) != (self.kind == "fingerprint"):
+            raise ValueError(
+                f"representation {self.name!r}: a FingerprintConfig goes with kind "
+                f"'fingerprint' and only with it, got {self.fingerprint!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -146,8 +155,16 @@ def _float(value) -> float:
     return value
 
 
-def _array_of(convert):
-    return lambda value: tuple(convert(item) for item in _ARRAY(value))
+def _array_of(convert, length=None):
+    """A converter of JSON arrays to tuples, of ``length`` items if given."""
+
+    def read(value):
+        items = tuple(convert(item) for item in _ARRAY(value))
+        if length is not None and len(items) != length:
+            raise ValueError(f"expected {length} items, got {len(items)}")
+        return items
+
+    return read
 
 
 #: the JSON converter of each annotation ``_read`` accepts, keyed by its
@@ -158,7 +175,7 @@ _CONVERTERS = {
     "float": _float,
     "bool": _BOOL,
     "tuple[str, ...]": _array_of(_STR),
-    "tuple[float, float]": _array_of(_float),
+    "tuple[float, float]": _array_of(_float, 2),
 }
 
 

@@ -17,7 +17,7 @@ from molbench.fingerprints import (
     initial_invariants,
     torsion_identifiers,
 )
-from molbench.hashing import hash_ints, mix64
+from molbench.hashing import hash_ints, hash_rows, mix64
 from molbench.molgraph import UNREACHABLE, parse_smiles, shortest_path_distances
 
 from molgen import random_molecule, random_smiles_pair, render_smiles
@@ -35,6 +35,16 @@ class TestHashing:
 
     def test_arity_matters(self):
         assert hash_ints(1, 0) != hash_ints(1)
+
+    @pytest.mark.parametrize("width", [0, 1, 3, 8])
+    def test_hash_rows_is_hash_ints_per_row(self, width):
+        rng = np.random.default_rng(width)
+        rows = rng.integers(-(2**63), 2**63 - 1, size=(6, width), dtype=np.int64)
+        rows[0] = 0
+        hashes = hash_rows(rows)
+        assert hashes.dtype == np.uint64
+        assert [int(h) for h in hashes] == [hash_ints(*map(int, row)) for row in rows]
+        assert hash_rows(rows[:0]).shape == (0,)
 
 
 class TestInitialInvariants:

@@ -206,6 +206,25 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(config, **{field: value})
 
+    def test_rope_needs_two_values(self, workspace):
+        document = json.loads(json.dumps(workspace[2]))
+        document["bbt"]["rope"] = [0.1, 0.2, 0.9]
+        with pytest.raises(ConfigError, match=r"bbt\.rope: .*expected 2 items, got 3"):
+            parse_config(document)
+
+    @pytest.mark.parametrize(
+        "kind, fingerprint, message",
+        [
+            ("embeding", None, "kind must be"),
+            ("fingerprint", None, "FingerprintConfig"),
+            ("embedding", FingerprintConfig("ecfp"), "FingerprintConfig"),
+        ],
+        ids=["misspelled-kind", "fingerprint-without-config", "embedding-with-config"],
+    )
+    def test_representation_entry_checks_its_kind(self, kind, fingerprint, message):
+        with pytest.raises(ValueError, match=message):
+            RepresentationEntry("x", kind, fingerprint)
+
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -223,9 +242,10 @@ class TestCellCacheKey:
     @pytest.mark.parametrize(
         "fingerprint, key",
         [
-            (FingerprintConfig("ecfp"), "f52597519447a93b"),
-            (FingerprintConfig("atom_pair", 1, 256, False), "3c8257775b7131a0"),
+            (FingerprintConfig("ecfp"), "82dcb313a8e02d8f"),
+            (FingerprintConfig("atom_pair", 1, 256, False), "3fb278651baa1f0e"),
         ],
+        ids=["ecfp", "atom_pair-binary-256"],
     )
     def test_key_pinned(self, fingerprint, key):
         # pinned: cells cached at this grid revision must keep hitting
