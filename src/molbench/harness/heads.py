@@ -21,10 +21,10 @@ whole. Identical eval rows get identical scores.
 
 All three are fully deterministic: kNN breaks distance ties by fit-row
 index, the logistic fit uses a monotone quasi-Newton optimizer, and the
-forest draws its bootstrap from a per-tree seed stream and each node's
-candidate features from a hash of a key fixed by (tree seed, path from the
-root), so results do not depend on scheduling or on where a tree stops
-growing.
+forest draws every random choice from hashes of 64-bit keys, a tree's
+bootstrap from its root key (fixed by (seed, tree index)) and each node's
+candidate features from a key fixed by (root key, path from the root), so
+results do not depend on scheduling or on where a tree stops growing.
 
 The forest grows all its trees together, level by level: each level draws
 the candidate features of every open node in one vectorised step, finds all
@@ -102,7 +102,7 @@ def _log_loss(z: np.ndarray, y: np.ndarray, w_sq: float, reg_strength: float):
     and the residual (p - y) / n its gradient is built from."""
     n = len(y)
     margins = (2.0 * y - 1.0) * z
-    loss = float(np.mean(np.logaddexp(0.0, -margins)))
+    loss = float(np.logaddexp(0.0, -margins).sum()) / n
     loss += w_sq / (2.0 * reg_strength * n)
     return loss, (1.0 / (1.0 + np.exp(-z)) - y) / n
 
@@ -141,30 +141,31 @@ def _lbfgs_minimize(fun, size: int, *, tol: float, max_iter: int, memory: int = 
     history = [f]
 
     for _ in range(max_iter):
-        if float(g[0] @ g[1]) <= tol * tol:
+        if float(g[0].dot(g[1])) <= tol * tol:
             break
         # two-loop recursion
         q = g.copy()
+        q0, q1 = q  # views: q changes in place below
         alphas = []
         for s, yv, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
-            a = rho * float(s[0] @ q[1])
+            a = rho * float(s[0].dot(q1))
             alphas.append(a)
             q -= a * yv
         if y_hist:
             y_last = y_hist[-1]
-            gamma = float(s_hist[-1][0] @ y_last[1]) / float(y_last[0] @ y_last[1])
+            gamma = float(s_hist[-1][0].dot(y_last[1])) / float(y_last[0].dot(y_last[1]))
             q *= gamma
         for (s, yv, rho), a in zip(
             zip(s_hist, y_hist, rho_hist), reversed(alphas)
         ):
-            beta = rho * float(q[0] @ yv[1])
+            beta = rho * float(q0.dot(yv[1]))
             q += (a - beta) * s
         direction = -q
-        if float(g[0] @ direction[1]) >= 0.0:
+        if float(g[0].dot(direction[1])) >= 0.0:
             direction = -g  # fall back to steepest descent
 
         step = 1.0
-        g_dot_d = float(g[0] @ direction[1])
+        g_dot_d = float(g[0].dot(direction[1]))
         accepted = False
         for _ in range(60):
             candidate = x + step * direction
@@ -178,7 +179,7 @@ def _lbfgs_minimize(fun, size: int, *, tol: float, max_iter: int, memory: int = 
 
         s_vec = candidate - x
         y_vec = g_new - g
-        curvature = float(s_vec[0] @ y_vec[1])
+        curvature = float(s_vec[0].dot(y_vec[1]))
         if curvature > 1e-12:
             s_hist.append(s_vec)
             y_hist.append(y_vec)
@@ -220,7 +221,7 @@ def _fit_logreg_span(gram: np.ndarray, y: np.ndarray, reg_strength: float):
 
     def fun(theta):
         a, gram_a, b = theta[0, :n], theta[1, :n], theta[0, n]
-        loss, residual = _log_loss(gram_a + b, y, float(a @ gram_a), reg_strength)
+        loss, residual = _log_loss(gram_a + b, y, float(a.dot(gram_a)), reg_strength)
         grad = np.empty_like(theta)
         grad[0, :n] = residual + a / (reg_strength * n)
         grad[:, n] = residual.sum()
@@ -332,51 +333,55 @@ class _Forest:
         self.n_rows = n_rows
         self.roots = np.arange(n_trees)
 
-    def predict(self, X: np.ndarray, min_samples_split: int) -> np.ndarray:
-        """Per-tree values, shape (trees, rows of X).
+    def predict(self, X: np.ndarray, grid) -> list[np.ndarray]:
+        """Per-tree values for each ``min_samples_split`` of ``grid``, each of
+        shape (trees, rows of X).
 
-        Nodes with fewer training rows than ``min_samples_split`` act as
-        leaves.
+        At m, nodes with fewer training rows than m act as leaves: a row takes
+        the value of the first node on its path with fewer than m rows or no
+        split. One walk serves the whole grid. Row counts fall along a path,
+        so that node is the first one below m whose parent has at least m.
         """
-        descend = (self.feature >= 0) & (self.n_rows >= min_samples_split)
         node = np.repeat(self.roots, X.shape[0])
         sample = np.tile(np.arange(X.shape[0]), len(self.roots))
-        active = np.flatnonzero(descend[node])
+        values = [np.empty(len(node)) for _ in grid]
+        above = np.full(len(node), np.iinfo(np.int64).max)  # the parent's row count
+        active = np.arange(len(node))
         while active.size:
             at = node[active]
+            n_rows, parent = self.n_rows[at], above[active]
+            leaf = self.feature[at] < 0
+            for m, out in zip(grid, values):
+                stop = (parent >= m) & (leaf | (n_rows < m))
+                out[active[stop]] = self.value[at[stop]]
+            descend = ~leaf & (n_rows >= min(grid))
+            active, at = active[descend], at[descend]
+            above[active] = n_rows[descend]
             go_right = X[sample[active], self.feature[at]] > self.threshold[at]
             node[active] = self.left[at] + go_right
-            active = active[descend[node[active]]]
-        return self.value[node].reshape(len(self.roots), X.shape[0])
+        return [out.reshape(len(self.roots), X.shape[0]) for out in values]
 
 
-def _entropy_curve(pos: np.ndarray, total: np.ndarray) -> np.ndarray:
-    """Binary entropy of pos/total (total > 0), elementwise, with 0 log 0 = 0."""
-    p = pos / total
-    q = 1.0 - p
-    term_p = p * np.log2(np.where(p > 0, p, 1.0))
-    term_q = q * np.log2(np.where(q > 0, q, 1.0))
-    return -(term_p + term_q)
-
-
-def _first_lowest(owner, left_n, left_pos, n, n_pos) -> np.ndarray:
+def _first_lowest(owner, left_n, left_pos, n, n_pos, xlogx) -> np.ndarray:
     """Index of each owner's candidate split with the lowest child entropy.
 
     A candidate split sends ``left_n`` of its node's ``n`` rows, ``left_pos``
     of its ``n_pos`` positives, to the left; both sides are non-empty. The
     splits come grouped by owning node, each node's in candidate order then
     threshold order, and a tie keeps the first.
+
+    A split is ranked by n times its weighted child entropy, which needs no
+    division: a side of m rows, p of them positive, holds
+    m H(p/m) = xlogx[m] - xlogx[p] - xlogx[m - p] of it, with the table
+    ``xlogx[c] = c log2 c``. Each side is summed alone before the two are
+    added, so a split and its mirror image tie exactly.
     """
     if not len(owner):
         return np.empty(0, dtype=np.intp)
-    left_n = left_n.astype(np.float64)
-    left_pos = left_pos.astype(np.float64)
     right_n = n - left_n
     right_pos = n_pos - left_pos
-    child = (
-        left_n * _entropy_curve(left_pos, left_n)
-        + right_n * _entropy_curve(right_pos, right_n)
-    ) / n
+    child = xlogx.take(left_n) - xlogx.take(left_pos) - xlogx.take(left_n - left_pos)
+    child += xlogx.take(right_n) - xlogx.take(right_pos) - xlogx.take(right_n - right_pos)
     first = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
     lowest = np.minimum.reduceat(child, first)
     hit = np.flatnonzero(child == np.repeat(lowest, np.diff(np.r_[first, len(owner)])))
@@ -403,13 +408,13 @@ def _group_codes(codes, rows, sizes, candidates, scale):
     return cell
 
 
-def _binned_search(codes, n_bins, positive, rows, sizes, n_pos, candidates):
+def _binned_search(codes, n_bins, positive, xlogx, rows, sizes, n_pos, candidates):
     """Best split of each node for small non-negative integer features.
 
     One bincount over (node, candidate, bin) replaces per-node sorting;
     thresholds land on bin boundaries (b + 0.5). ``rows`` holds every node's
-    rows, node after node. Returns the nodes that split, the winning
-    candidate column and the threshold.
+    rows, node after node; ``xlogx`` is ``_first_lowest``'s table. Returns
+    the nodes that split, the winning candidate column and the threshold.
     """
     nodes, k = candidates.shape
     cells = nodes * k * n_bins
@@ -422,12 +427,12 @@ def _binned_search(codes, n_bins, positive, rows, sizes, n_pos, candidates):
     group, b = np.divmod(entry, n_bins - 1)
     owner = group // k
     best = _first_lowest(
-        owner, left_n.ravel()[entry], left_pos[entry], sizes[owner], n_pos[owner]
+        owner, left_n.ravel()[entry], left_pos[entry], sizes[owner], n_pos[owner], xlogx
     )
     return owner[best], group[best] % k, b[best] + 0.5
 
 
-def _sorted_search(codes, order, X, rows, sizes, n_pos, candidates):
+def _sorted_search(codes, order, X, xlogx, rows, sizes, n_pos, candidates):
     """Best split of each node for any features, by one segment-wise sort.
 
     ``codes`` holds 2 * rank + label for every entry of X, where a value's
@@ -455,6 +460,7 @@ def _sorted_search(codes, order, X, rows, sizes, n_pos, candidates):
         cum_pos[entry] - cum_pos[start] + (key[start] & 1),
         sizes[owner],
         n_pos[owner],
+        xlogx,
     )
     at, col = entry[best], group[best] % k
     feature = candidates[owner[best], col]
@@ -504,6 +510,37 @@ def _batches(sizes: np.ndarray, row_cells: int, node_cells: int):
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)  # splitmix64's counter step
 _SIDES = np.array([0x243F6A8885A308D3, 0x13198A2E03707344], dtype=np.uint64)
+_BOOTSTRAP_SIDE = np.uint64(0xA4093822299F31D0)  # a side no child key takes
+
+
+def _root_keys(seed: int, n_trees: int) -> np.ndarray:
+    """Tree t's root key, mix64(base + (t + 1) * golden), for every tree.
+
+    ``base`` is one draw of ``SeedSequence(seed)``, so a root key depends on
+    (seed, t) alone: the first trees of a larger forest are a smaller one.
+    """
+    base = np.random.SeedSequence(seed).generate_state(1, np.uint64)
+    return mix64(base + np.arange(1, n_trees + 1, dtype=np.uint64) * _GOLDEN)
+
+
+def _bootstrap_rows(keys: np.ndarray, n: int) -> np.ndarray:
+    """n rows of range(n), drawn with replacement, for each root key, tree
+    after tree.
+
+    Row i of a tree is mix64(b + (i + 1) * golden) % n, the splitmix64 stream
+    of b = mix64(key ^ side) for a side ``_child_keys`` never uses, so no
+    bootstrap stream is a node's candidate stream. The draws go a few trees
+    at a time, to keep the hash temporaries within ``_BATCH_CELLS``.
+    """
+    streams = mix64(keys ^ _BOOTSTRAP_SIDE)[:, None]
+    steps = np.arange(1, n + 1, dtype=np.uint64) * _GOLDEN
+    rows = np.empty((len(keys), n), dtype=np.int64)
+    trees = max(1, _BATCH_CELLS // n)
+    for start in range(0, len(keys), trees):
+        block = mix64(streams[start : start + trees] + steps)
+        block %= np.uint64(n)
+        rows[start : start + trees] = block
+    return rows.ravel()
 
 
 def _child_keys(keys: np.ndarray) -> np.ndarray:
@@ -512,6 +549,34 @@ def _child_keys(keys: np.ndarray) -> np.ndarray:
     ``mix64`` is a bijection, so the two children of a node never share a key.
     """
     return mix64(keys[:, None] ^ _SIDES).ravel()
+
+
+def _floyd_picks(draws: np.ndarray, d: int, k: int) -> np.ndarray:
+    """Floyd's picks from raw draws, draw i in range(d - k + i + 1).
+
+    Draw i is replaced by d - k + i when an earlier pick holds its value.
+    That pick is an earlier draw of the same value, or the replacement
+    d - k + j of an earlier replaced draw j. An equal earlier draw always
+    means an earlier pick of that value, so the first rule needs one stable
+    sort of each row; the second refers only to earlier draws and is
+    resolved to a fixpoint, at most one round per link of the longest chain.
+    """
+    rows = np.arange(len(draws))[:, None]
+    order = np.argsort(draws, axis=1, kind="stable")
+    ordered = draws[rows, order]
+    repeated = np.zeros(draws.shape, dtype=bool)
+    repeated[rows, order[:, 1:]] = ordered[:, 1:] == ordered[:, :-1]
+    # the earlier draw j whose replacement d - k + j a draw equals, if any
+    j = draws - (d - k)
+    chained = (j >= 0) & (j < np.arange(k))
+    j = np.where(chained, j, 0)
+    replaced = repeated
+    while True:
+        grown = repeated | (chained & replaced[rows, j])
+        if np.array_equal(grown, replaced):
+            break
+        replaced = grown
+    return np.where(replaced, np.arange(d - k, d), draws)
 
 
 def _draw_candidates(keys: np.ndarray, d: int, k: int) -> np.ndarray:
@@ -531,34 +596,38 @@ def _draw_candidates(keys: np.ndarray, d: int, k: int) -> np.ndarray:
     # already hold their picks
     ordered = np.sort(chosen, axis=1)
     redo = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
-    picks = chosen[redo]
-    for i in range(1, k):
-        picks[(picks[:, :i] == picks[:, i, None]).any(axis=1), i] = d - k + i
-    chosen[redo] = picks
+    chosen[redo] = _floyd_picks(chosen[redo], d, k)
     order = np.argsort(mix64(keys[:, None] ^ chosen.astype(np.uint64)), axis=1)
     return np.take_along_axis(chosen, order, axis=1)
 
 
-def _grow_forest(X, y, seeds, min_samples_split, n_features_node) -> _Forest:
-    """Grow one tree per seed on a bootstrap of the rows of X, level by level.
+def _grow_forest(X, y, keys, min_samples_split, n_features_node) -> _Forest:
+    """Grow one tree per root key on a bootstrap of the rows of X, level by
+    level.
 
     Every level advances the open nodes of all trees together: one candidate
     draw, one batched split search over all of them, one partition of their
-    rows. Each tree's bootstrap comes from its seed. Each node carries a
-    64-bit key: the root's comes from the tree seed, a child's is a mix of
-    its parent's key and its side, so a key depends only on the tree seed and
-    the path from the root, at any depth. A node's candidate features come
-    from its key alone. A node therefore splits the same way whatever
-    ``min_samples_split`` is, as long as it has at least that many rows, so
-    the forest grown at m is the forest grown at 2 cut back at smaller nodes.
+    rows. Each node carries a 64-bit key: a root's is given, and its hash
+    stream draws the tree's bootstrap (``_bootstrap_rows``); a child's is a
+    mix of its parent's key and its side, so a key depends only on the root
+    key and the path from the root, at any depth. A node's candidate
+    features come from its key alone. A node therefore splits the same way
+    whatever ``min_samples_split`` is, as long as it has at least that many
+    rows, so the forest grown at m is the forest grown at 2 cut back at
+    smaller nodes.
 
     The search sees each node's usable candidates, those whose column min and
     max over X differ, first and in drawn order, cut to the level's widest
     usable count. A column constant on X is constant on every node's rows, so
     it yields no split, and the first usable candidate still wins a tie: the
     forest is the one a search over all drawn candidates grows.
+
+    Splits are ranked through a table of c log2 c for c = 0..n
+    (``_first_lowest``), built once per forest.
     """
     n, d = X.shape
+    xlogx = np.arange(n + 1, dtype=np.float64)
+    xlogx[1:] *= np.log2(xlogx[1:])
     positive = y == 1.0
     low, high = X.min(axis=0), X.max(axis=0)
     usable = low < high
@@ -567,14 +636,14 @@ def _grow_forest(X, y, seeds, min_samples_split, n_features_node) -> _Forest:
     codes = X.astype(np.uint8) if low.min() >= 0 and high.max() <= 255 else None
     if codes is not None and np.array_equal(codes, X):
         n_bins = int(high.max()) + 2
-        search = functools.partial(_binned_search, codes, n_bins, positive)
+        search = functools.partial(_binned_search, codes, n_bins, positive, xlogx)
     else:
         n_bins = 0
-        search = functools.partial(_sorted_search, *_rank_codes(X, y), X)
+        search = functools.partial(_sorted_search, *_rank_codes(X, y), X, xlogx)
 
-    rows = np.concatenate([np.random.default_rng(s).integers(0, n, size=n) for s in seeds])
-    sizes = np.full(len(seeds), n)
-    keys = np.array([s.generate_state(1, np.uint64)[0] for s in seeds], dtype=np.uint64)
+    rows = _bootstrap_rows(keys, n)
+    sizes = np.full(len(keys), n)
+    n_trees = len(keys)
     levels = []
     n_nodes = 0
     while len(sizes):
@@ -627,22 +696,24 @@ def _grow_forest(X, y, seeds, min_samples_split, n_features_node) -> _Forest:
         sizes = np.bincount(child, minlength=2 * len(splits))
         keys = _child_keys(keys[splits])
         n_nodes += count
-    return _Forest(*(np.concatenate(column) for column in zip(*levels)), len(seeds))
+    return _Forest(*(np.concatenate(column) for column in zip(*levels)), n_trees)
 
 
 def forest_scores(X_fit, y_fit, X_eval, grid, *, seed: int, n_trees: int) -> list[np.ndarray]:
     """Bootstrap forest of entropy-split trees over sqrt(d) feature draws,
     for each ``min_samples_split`` of ``grid``.
 
-    Every tree draws its bootstrap from its own stream of
-    ``SeedSequence(seed)``, and every node its candidate features from a
-    hash of its key, which the tree seed and the node's path from the root
-    fix, so the forest is bit-identical for a seed however its trees are
-    scheduled. A split minimises the weighted child entropy; ties go to the
-    first candidate, then the lowest threshold. A node's split does not
-    depend on ``min_samples_split``, so one forest grown at the smallest
-    grid value predicts for every larger m exactly what a forest grown at m
-    predicts: traversal stops at nodes with fewer than m rows.
+    Tree t's root key is a hash of (seed, t) (``_root_keys``). The tree
+    draws its bootstrap rows from that key's hash stream, and every node its
+    candidate features from a hash of its own key, which the root key and
+    the node's path from the root fix, so tree t is bit-identical for a seed
+    however many trees grow with it and however they are scheduled. A split
+    minimises the weighted child entropy; ties go to the first candidate,
+    then the lowest threshold. A node's split does not depend on
+    ``min_samples_split``, so one forest grown at the smallest grid value
+    predicts for every larger m exactly what a forest grown at m predicts:
+    traversal stops at nodes with fewer than m rows, and one walk of each
+    tree serves the whole grid.
     """
     if min(grid) < 2:
         raise ValueError(f"min_samples_split must be >= 2, got {min(grid)}")
@@ -655,16 +726,15 @@ def forest_scores(X_fit, y_fit, X_eval, grid, *, seed: int, n_trees: int) -> lis
     forest = _grow_forest(
         X_fit,
         y_fit,
-        np.random.SeedSequence(seed).spawn(n_trees),
+        _root_keys(seed, n_trees),
         min(grid),
         max(1, math.isqrt(X_fit.shape[1])),
     )
-    chunk = max(1, 500_000 // n_trees)  # bounds the (trees, rows) arrays
-    scores = []
-    for m in grid:
-        values = np.empty(X_eval.shape[0], dtype=np.float64)
-        for start in range(0, X_eval.shape[0], chunk):
-            per_tree = forest.predict(X_eval[start : start + chunk], m)
+    # bounds the (trees, rows) arrays of the whole grid
+    chunk = max(1, 500_000 // (n_trees * len(grid)))
+    scores = [np.empty(X_eval.shape[0], dtype=np.float64) for _ in grid]
+    for start in range(0, X_eval.shape[0], chunk):
+        per_grid = forest.predict(X_eval[start : start + chunk], grid)
+        for values, per_tree in zip(scores, per_grid):
             values[start : start + chunk] = per_tree.sum(axis=0) / n_trees
-        scores.append(values)
     return scores

@@ -31,11 +31,16 @@ from molbench.harness import (
 )
 from molbench.harness.evaluate import FOREST_GRID, KNN_GRID, LOGREG_GRID
 from molbench.harness.heads import (
+    _bootstrap_rows,
     _child_keys,
     _draw_candidates,
+    _first_lowest,
     _fit_logreg,
     _fit_logreg_span,
+    _floyd_picks,
+    _root_keys,
 )
+from molbench.hashing import mix64
 from molbench.molgraph import parse_smiles
 
 
@@ -390,35 +395,49 @@ def _reference_child_keys(key):
     return _mix_int(key ^ 0x243F6A8885A308D3), _mix_int(key ^ 0x13198A2E03707344)
 
 
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _reference_root_keys(seed, n_trees):
+    base = int(np.random.SeedSequence(seed).generate_state(1, np.uint64)[0])
+    return [_mix_int((base + (t + 1) * _GOLDEN) & _MASK) for t in range(n_trees)]
+
+
+def _reference_bootstrap(root_key, n):
+    stream = _mix_int(root_key ^ 0xA4093822299F31D0)
+    return np.array([_mix_int((stream + (i + 1) * _GOLDEN) & _MASK) % n for i in range(n)])
+
+
 def _reference_draw(key, d, k):
     """One node's candidates: Floyd's algorithm draw by draw, in hash order."""
     chosen = []
     for i, j in enumerate(range(d - k, d)):
-        t = _mix_int((key + (i + 1) * 0x9E3779B97F4A7C15) & _MASK) % (j + 1)
+        t = _mix_int((key + (i + 1) * _GOLDEN) & _MASK) % (j + 1)
         chosen.append(j if t in chosen else t)
     return sorted(chosen, key=lambda feature: _mix_int(key ^ feature))
+
+
+def _xlogx_table(n):
+    """c log2 c for c = 0..n, with 0 log 0 = 0."""
+    c = np.arange(n + 1.0)
+    return c * np.log2(np.maximum(c, 1.0))
 
 
 def _reference_forest_scores(X, y, test, seed, n_trees, min_samples_split):
     """Positive-class scores of a forest grown tree by tree, node by node.
 
     The depth-first grower the level-wise one replaced, kept as the
-    reference: the same bootstrap streams, node keys and candidate draws
-    (here on Python ints), the same entropy arithmetic and tie-breaks (first
-    candidate, then lowest threshold).
+    reference: the same root keys, bootstrap streams, node keys and candidate
+    draws (here on Python ints), the same x log x ranking and tie-breaks
+    (first candidate, then lowest threshold).
     """
-
-    def entropy(pos, total):
-        p = pos / total
-        q = 1.0 - p
-        return -(p * np.log2(np.where(p > 0, p, 1.0)) + q * np.log2(np.where(q > 0, q, 1.0)))
+    xlogx = _xlogx_table(len(X))
 
     def child_entropy(left_n, left_pos, m, total_pos):
+        # m times the weighted child entropy, each side summed alone
         right_n, right_pos = m - left_n, total_pos - left_pos
-        return (
-            left_n * entropy(left_pos, np.maximum(left_n, 1.0))
-            + right_n * entropy(right_pos, np.maximum(right_n, 1.0))
-        ) / m
+        left = xlogx[left_n] - xlogx[left_pos] - xlogx[left_n - left_pos]
+        return left + (xlogx[right_n] - xlogx[right_pos] - xlogx[right_n - right_pos])
 
     def best_split(block, y_node):
         m = len(block)
@@ -426,16 +445,17 @@ def _reference_forest_scores(X, y, test, seed, n_trees, min_samples_split):
             flat = (block.astype(np.int64) + n_bins * np.arange(k)).ravel()
             counts = np.bincount(flat, minlength=k * n_bins).reshape(k, n_bins)
             pos = np.bincount(flat, np.repeat(y_node, k), k * n_bins).reshape(k, n_bins)
-            left_n = np.cumsum(counts, axis=1)[:, :-1].astype(np.float64)
-            left_pos = np.cumsum(pos, axis=1)[:, :-1]
-            child = child_entropy(left_n, left_pos, m, pos.sum(axis=1, keepdims=True))
+            left_n = np.cumsum(counts, axis=1)[:, :-1]
+            left_pos = np.cumsum(pos, axis=1)[:, :-1].astype(np.int64)
+            total_pos = pos.sum(axis=1, keepdims=True).astype(np.int64)
+            child = child_entropy(left_n, left_pos, m, total_pos)
             child = np.where((left_n > 0) & (left_n < m), child, np.inf)
             col, b = divmod(int(np.argmin(child)), n_bins - 1)
             return col, b + 0.5, np.isfinite(child[col, b])
         order = np.argsort(block, axis=0, kind="stable")
         sorted_x = np.take_along_axis(block, order, axis=0)
-        cum_pos = np.cumsum(y_node[order], axis=0)
-        left_n = np.arange(1, m, dtype=np.float64)[:, None]
+        cum_pos = np.cumsum(y_node[order], axis=0).astype(np.int64)
+        left_n = np.arange(1, m)[:, None]
         child = child_entropy(left_n, cum_pos[:-1], m, cum_pos[-1][None, :])
         child = np.where(sorted_x[1:] > sorted_x[:-1], child, np.inf).T
         col, at = divmod(int(np.argmin(child)), m - 1)
@@ -447,10 +467,9 @@ def _reference_forest_scores(X, y, test, seed, n_trees, min_samples_split):
     binned = X.min() >= 0 and X.max() <= 255 and np.all(X == np.floor(X))
     n_bins = int(X.max()) + 2
     total = np.zeros(len(test))
-    for tree_seed in np.random.SeedSequence(seed).spawn(n_trees):
+    for root_key in _reference_root_keys(seed, n_trees):
         nodes = {}
-        root_key = int(tree_seed.generate_state(1, np.uint64)[0])
-        stack = [(1, root_key, np.random.default_rng(tree_seed).integers(0, n, size=n))]
+        stack = [(1, root_key, _reference_bootstrap(root_key, n))]
         while stack:
             heap, key, rows = stack.pop()
             value = float(y[rows].mean())
@@ -522,19 +541,122 @@ class TestCandidateDraw:
             assert np.abs(counts - 20_000 * p).max() < spread
 
     def test_fit_builds_no_stream_beyond_the_tree_seeds(self, monkeypatch):
-        built = []
+        # one SeedSequence per forest gives every root key; no tree spawns a
+        # SeedSequence or builds a Generator
+        built, spawned, generators = [], [], []
 
         class CountingSeedSequence(np.random.SeedSequence):
             def __init__(self, *args, **kwargs):
                 built.append(kwargs.get("spawn_key", ()))
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
+            def spawn(self, n_children):
+                spawned.append(n_children)
+                return super().spawn(n_children)
+
+        def counting(make):
+            def build(*args, **kwargs):
+                generators.append(make.__name__)
+                return make(*args, **kwargs)
+
+            return build
+
         rng = np.random.default_rng(4)
         X = rng.integers(0, 3, size=(40, 9)).astype(float)
         y = (X[:, 0] + rng.normal(size=40) > 1).astype(float)
+        monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
+        for name in ("default_rng", "Generator", "PCG64"):
+            monkeypatch.setattr(np.random, name, counting(getattr(np.random, name)))
         forest_scores(X, y, X, (2,), seed=3, n_trees=7)
-        assert built == [()] + [(t,) for t in range(7)]  # the seed and its spawn
+        forest_scores(X + 0.5 * rng.normal(size=X.shape), y, X, (2,), seed=3, n_trees=7)
+        assert built == [(), ()]  # one per forest, binned and sorted
+        assert spawned == [] and generators == []
+
+    @pytest.mark.parametrize("d, k", [(2048, 45), (50, 7), (10, 10), (100, 10), (6, 6)])
+    def test_floyd_fixup_matches_the_loop(self, d, k):
+        # the loop the vectorised fix-up replaced: draw i, if an earlier pick
+        # holds its value, becomes d - k + i. A chained replacement is one
+        # whose value no earlier draw had, only an earlier replacement.
+        keys = np.arange(20_000, dtype=np.uint64)
+        steps = np.arange(1, k + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+        bounds = np.arange(d - k + 1, d + 1, dtype=np.uint64)
+        draws = (mix64(keys[:, None] + steps) % bounds).astype(np.int64)
+        picks = draws.copy()
+        chained = np.zeros(len(keys), dtype=int)
+        for i in range(1, k):
+            taken = (picks[:, :i] == picks[:, i, None]).any(axis=1)
+            chained += taken & ~(draws[:, :i] == draws[:, i, None]).any(axis=1)
+            picks[taken, i] = d - k + i
+        assert np.array_equal(_floyd_picks(draws, d, k), picks)
+        if d < 2 * k:
+            assert chained.max() >= 2  # a chain of two links
+        assert np.array_equal(_floyd_picks(draws[:0], d, k), picks[:0])
+
+
+class TestSplitCriterion:
+    @staticmethod
+    def _float_child_entropy(left_n, left_pos, n, n_pos):
+        """The float weighted child entropy the x log x table replaced."""
+
+        def entropy(pos, total):
+            p = pos / total
+            q = 1.0 - p
+            term_p = p * np.log2(np.where(p > 0, p, 1.0))
+            term_q = q * np.log2(np.where(q > 0, q, 1.0))
+            return -(term_p + term_q)
+
+        left_n = left_n.astype(np.float64)
+        right_n = n - left_n
+        return (
+            left_n * entropy(left_pos, left_n) + right_n * entropy(n_pos - left_pos, right_n)
+        ) / n
+
+    @staticmethod
+    def _splits(rng, nodes, n_max):
+        """Random candidate splits grouped by node: owner, left_n, left_pos, n, n_pos."""
+        n = rng.integers(2, n_max + 1, size=nodes)
+        n_pos = rng.integers(0, n + 1)
+        per_node = rng.integers(1, 30, size=nodes)
+        owner = np.repeat(np.arange(nodes), per_node)
+        left_n = rng.integers(1, n[owner])
+        low = np.maximum(0, left_n - (n - n_pos)[owner])
+        left_pos = rng.integers(low, np.minimum(left_n, n_pos[owner]) + 1)
+        return owner, left_n, left_pos, n[owner], n_pos[owner]
+
+    def test_picks_the_float_formula_split(self):
+        # wherever the float formula's lowest split is lower than every
+        # other by more than 1e-9 relative, the integer ranking picks it
+        rng = np.random.default_rng(15)
+        owner, left_n, left_pos, n, n_pos = self._splits(rng, 3000, 400)
+        picked = _first_lowest(owner, left_n, left_pos, n, n_pos, _xlogx_table(400))
+        child = self._float_child_entropy(left_n, left_pos, n, n_pos)
+        starts = np.r_[0, np.flatnonzero(owner[1:] != owner[:-1]) + 1, len(owner)]
+        compared = 0
+        for node, (a, b) in enumerate(zip(starts[:-1], starts[1:])):
+            values = child[a:b]
+            order = np.argsort(values, kind="stable")
+            if len(values) > 1 and values[order[1]] - values[order[0]] <= 1e-9 * values[order[1]]:
+                continue
+            assert picked[node] == a + order[0]
+            compared += 1
+        assert compared > 2500
+
+    def test_mirrored_splits_tie_exactly(self):
+        # a split and its mirror image come in both orders; the first wins
+        # both times only if the two tie bit for bit
+        rng = np.random.default_rng(16)
+        _, left_n, left_pos, n, n_pos = self._splits(rng, 5000, 3200)
+        mirror_n, mirror_pos = n - left_n, n_pos - left_pos
+        owner = np.repeat(np.arange(2 * len(n)), 2)
+        picked = _first_lowest(
+            owner,
+            np.column_stack([left_n, mirror_n, mirror_n, left_n]).ravel(),
+            np.column_stack([left_pos, mirror_pos, mirror_pos, left_pos]).ravel(),
+            np.repeat(n, 4),
+            np.repeat(n_pos, 4),
+            _xlogx_table(3200),
+        )
+        assert np.array_equal(picked, 2 * np.arange(2 * len(n)))
 
 
 def _proba(scores):
@@ -593,6 +715,86 @@ class TestForestHead:
         b = _forest(X, y, test, (4,), seed=7, n_trees=50)
         assert np.array_equal(a, b)
 
+    def test_first_trees_are_a_smaller_forest(self, monkeypatch):
+        # tree t depends on (seed, t) alone
+        from molbench.harness import heads
+
+        assert np.array_equal(_root_keys(5, 20)[:7], _root_keys(5, 7))
+        assert _root_keys(5, 20).tolist() == _reference_root_keys(5, 20)
+        grown = []
+        grow = heads._grow_forest
+        monkeypatch.setattr(heads, "_grow_forest", lambda *args: grown.append(grow(*args)) or grown[-1])
+        rng = np.random.default_rng(13)
+        X = rng.integers(0, 4, size=(60, 16)).astype(float)
+        y = (X[:, 0] + rng.normal(size=60) > 1.5).astype(float)
+        _forest(X, y, X, FOREST_GRID, seed=5, n_trees=20)
+        _forest(X, y, X, FOREST_GRID, seed=5, n_trees=7)
+        large, small = grown
+        for per_tree, first in zip(large.predict(X, FOREST_GRID), small.predict(X, FOREST_GRID)):
+            assert np.array_equal(per_tree[:7], first)
+            assert not np.array_equal(per_tree[7:14], first)
+
+    def test_bootstrap_rows_follow_the_root_key_streams(self):
+        for n in (1, 2, 7, 3200):
+            rows = _bootstrap_rows(_root_keys(0, 30), n)
+            assert rows.shape == (30 * n,)
+            assert rows.min() >= 0 and rows.max() < n
+        keys = _root_keys(3, 4)
+        expected = [_reference_bootstrap(key, 50) for key in keys.tolist()]
+        assert np.array_equal(_bootstrap_rows(keys, 50).reshape(4, 50), expected)
+
+    def test_bootstrap_peak_within_the_list_it_replaced(self):
+        # 500 trees x 3,200 fit rows: the keyed draws may hold no more than
+        # the per-tree Generator list and its concatenation did
+        n, n_trees = 3200, 500
+
+        def per_tree_generators():
+            seeds = np.random.SeedSequence(0).spawn(n_trees)
+            return np.concatenate([np.random.default_rng(s).integers(0, n, size=n) for s in seeds])
+
+        peaks = []
+        for build in (per_tree_generators, lambda: _bootstrap_rows(_root_keys(0, n_trees), n)):
+            tracemalloc.start()
+            try:
+                build()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0]
+
+    @pytest.mark.parametrize("noise", [0.0, 0.1], ids=["binned", "sorted"])
+    def test_one_walk_equals_a_walk_per_grid_value(self, noise, monkeypatch):
+        from molbench.harness import heads
+
+        def walk(forest, X, m):
+            # the walk per grid value that one walk of the whole grid replaced
+            descend = (forest.feature >= 0) & (forest.n_rows >= m)
+            node = np.repeat(forest.roots, X.shape[0])
+            sample = np.tile(np.arange(X.shape[0]), len(forest.roots))
+            active = np.flatnonzero(descend[node])
+            while active.size:
+                at = node[active]
+                go_right = X[sample[active], forest.feature[at]] > forest.threshold[at]
+                node[active] = forest.left[at] + go_right
+                active = active[descend[node[active]]]
+            return forest.value[node].reshape(len(forest.roots), X.shape[0])
+
+        grown = []
+        grow = heads._grow_forest
+        monkeypatch.setattr(heads, "_grow_forest", lambda *args: grown.append(grow(*args)) or grown[-1])
+        rng = np.random.default_rng(14)
+        X = rng.integers(0, 4, size=(80, 20)) + rng.normal(scale=noise, size=(80, 20))
+        y = (X[:, 0] + X[:, 1] + rng.normal(size=80) > 3).astype(float)
+        test = rng.integers(0, 4, size=(30, 20)) + rng.normal(scale=noise, size=(30, 20))
+        grid = (9, 2, 5, 3, 1000)  # unsorted; 1000 stops every tree at its root
+        scores = _forest(X, y, test, grid, seed=8, n_trees=40)
+        (forest,) = grown
+        for m, per_tree, score in zip(grid, forest.predict(test, grid), scores):
+            alone = walk(forest, test, m)
+            assert np.array_equal(per_tree, alone)
+            assert np.array_equal(score, alone.sum(axis=0) / 40)
+        assert np.array_equal(forest.predict(test, grid)[-1], walk(forest, test, 10**9))
+
     def test_binned_and_sorted_paths_agree_on_split_quality(self):
         # integer data goes through the bincount splitter; forcing the float
         # path by adding 0.5 must produce equally separating forests
@@ -611,21 +813,21 @@ class TestForestHead:
             (
                 0.0,
                 (
-                    "d03599eac70e452d4220d9e00d8b373a047a7f978c2849f58654fb509b367742",
-                    "7a5310b1848d0d3faaa6293e1fe04e5aa36f4b91183ff9a93ba7a3dc12d4ade5",
-                    "31c4d6ca75f4fd0280f08454ef776260ca0186aa53ffbbd064eb71abce00cb9c",
-                    "f3fc811a739139d5a624b2badb6e30641542fcf066632ca3f54c44bab21c1360",
-                    "4eba4fdd5ed4fe90622a5713da91f1e503185c6d7366b243d1d8c7200c463bad",
+                    "8a24c743d942fb9e2ecd6ec8739e29b86b5bad08142fbd159a2eb56e0a73bd9a",
+                    "f198b7bd977e907cf17d2bcc01322afbb5452d99b5ff283716cc7a604928c068",
+                    "2888fdb54f7a7a8b5e97a606e5c74eb6dcc2705aa8a3e873caff30e6472b90a8",
+                    "9bbb98c1a673f0289f80a6046ab3b6245ba3cd8a8894d47d3a1e323c9107a252",
+                    "7f274f5f13250b6b8af420d60b73baa12961becf334e50885f7451a15e09c9e7",
                 ),
             ),
             (
                 0.3,
                 (
-                    "7c66a8248fb813d0be9c1ec482f78a7f70fd547795d8e52cc34d855d2a7bb494",
-                    "fa5f42ebca8d3c17c8c02b5747b92f70f67748b7bdf786bc866bd45b906fc9f3",
-                    "fa349de72a03d6c420113356a82a19bb69f6a96c080db1735db009b5342e0553",
-                    "5da39bb3792b43694c109f6832e1e386e4f6f05e2108a4ea6a487621caa1f7ef",
-                    "fa28f32edf4b9fda5aa092db42532c13551844cd85d9e2c00e1427438f4f470a",
+                    "c1196af0326cc206c9a761d8538fe556576e65fcb237387d8cd27bf3b72dc573",
+                    "f87df79cd9a51efa00ca0badce2866a098a04c7f20ecd5ac5f6c9f71c24d343e",
+                    "b02f5490e2f611db6105495e47e606036cbb0495154c1c48cca70f88e3eab144",
+                    "b7386e70896cf92071abd0bdcbffa6373725f17d7c48fcb8bc745c33b81c6126",
+                    "8151ad6b35368d26f7cfcb5d140844684ddfea5d6783358327835d8d333784da",
                 ),
             ),
         ],
@@ -648,8 +850,8 @@ class TestForestHead:
     @pytest.mark.parametrize(
         "mix, digest",
         [
-            (0, "3a2644cb989c726a9991eab1d46981ce43394298f9ca0726687bdcf8910a8182"),
-            (337, "3ef40946752aa17f6536ef94eb6064c31a4092edc098971758830968621be8d1"),
+            (0, "e17d6f404ba9e705bb9c43171f63171b5e2105ff74453678145d4639eae8cd35"),
+            (337, "7d5e99b1c9802a742c625cdcf7ecc85a01b0910c16fa11c1af92b6bfb28ae386"),
         ],
         ids=["one-feature", "two-features"],
     )
@@ -905,8 +1107,8 @@ class TestTuneAndEvaluate:
         specs = [s for s in default_specs(0) if s.head == "random_forest"]
         records = tune_and_evaluate(ds, features, split, "ecfp", specs=specs)
         assert {r.head: r.auroc for r in records} == {
-            "random_forest": 0.9955357142857143,
-            BEST_HEAD: 0.9955357142857143,
+            "random_forest": 0.9866071428571429,
+            BEST_HEAD: 0.9866071428571429,
         }
 
     @pytest.mark.parametrize(
@@ -918,7 +1120,7 @@ class TestTuneAndEvaluate:
                              "random_forest": 0.9166666666666667,
                              BEST_HEAD: 0.9722222222222222}),
             ("float", {"knn": 0.9097222222222222, "logreg": 0.9444444444444444,
-                       "random_forest": 0.8611111111111112, BEST_HEAD: 0.9444444444444444}),
+                       "random_forest": 0.9444444444444444, BEST_HEAD: 0.9444444444444444}),
         ],
     )
     def test_two_task_cell_records_pinned(self, kind, expected, monkeypatch):

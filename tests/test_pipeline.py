@@ -242,8 +242,8 @@ class TestCellCacheKey:
     @pytest.mark.parametrize(
         "fingerprint, key",
         [
-            (FingerprintConfig("ecfp"), "82dcb313a8e02d8f"),
-            (FingerprintConfig("atom_pair", 1, 256, False), "3fb278651baa1f0e"),
+            (FingerprintConfig("ecfp"), "5b7dce34ba2fc1a4"),
+            (FingerprintConfig("atom_pair", 1, 256, False), "12e5531cc9d249c8"),
         ],
         ids=["ecfp", "atom_pair-binary-256"],
     )
