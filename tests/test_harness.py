@@ -659,6 +659,21 @@ class TestSplitCriterion:
         assert np.array_equal(picked, 2 * np.arange(2 * len(n)))
 
 
+def _record_forests(monkeypatch):
+    """The list every forest that ``forest_scores`` grows is appended to."""
+    from molbench.harness import heads
+
+    grown = []
+    grow = heads._grow_forest
+
+    def recording_grow(*args):
+        grown.append(grow(*args))
+        return grown[-1]
+
+    monkeypatch.setattr(heads, "_grow_forest", recording_grow)
+    return grown
+
+
 def _proba(scores):
     """The (negative, positive) class columns the forest pins were recorded on."""
     return np.column_stack((1.0 - scores, scores))
@@ -717,13 +732,9 @@ class TestForestHead:
 
     def test_first_trees_are_a_smaller_forest(self, monkeypatch):
         # tree t depends on (seed, t) alone
-        from molbench.harness import heads
-
         assert np.array_equal(_root_keys(5, 20)[:7], _root_keys(5, 7))
         assert _root_keys(5, 20).tolist() == _reference_root_keys(5, 20)
-        grown = []
-        grow = heads._grow_forest
-        monkeypatch.setattr(heads, "_grow_forest", lambda *args: grown.append(grow(*args)) or grown[-1])
+        grown = _record_forests(monkeypatch)
         rng = np.random.default_rng(13)
         X = rng.integers(0, 4, size=(60, 16)).astype(float)
         y = (X[:, 0] + rng.normal(size=60) > 1.5).astype(float)
@@ -764,8 +775,6 @@ class TestForestHead:
 
     @pytest.mark.parametrize("noise", [0.0, 0.1], ids=["binned", "sorted"])
     def test_one_walk_equals_a_walk_per_grid_value(self, noise, monkeypatch):
-        from molbench.harness import heads
-
         def walk(forest, X, m):
             # the walk per grid value that one walk of the whole grid replaced
             descend = (forest.feature >= 0) & (forest.n_rows >= m)
@@ -779,9 +788,7 @@ class TestForestHead:
                 active = active[descend[node[active]]]
             return forest.value[node].reshape(len(forest.roots), X.shape[0])
 
-        grown = []
-        grow = heads._grow_forest
-        monkeypatch.setattr(heads, "_grow_forest", lambda *args: grown.append(grow(*args)) or grown[-1])
+        grown = _record_forests(monkeypatch)
         rng = np.random.default_rng(14)
         X = rng.integers(0, 4, size=(80, 20)) + rng.normal(scale=noise, size=(80, 20))
         y = (X[:, 0] + X[:, 1] + rng.normal(size=80) > 3).astype(float)
@@ -865,16 +872,7 @@ class TestForestHead:
         if mix:
             X = np.column_stack([X, (i * mix) % 1000 + 0.5])
         y = (i % 2).astype(float)
-        from molbench.harness import heads
-
-        grown = []
-        grow = heads._grow_forest
-
-        def recording_grow(*args):
-            grown.append(grow(*args))
-            return grown[-1]
-
-        monkeypatch.setattr(heads, "_grow_forest", recording_grow)
+        grown = _record_forests(monkeypatch)
         (scores,) = _forest(X, y, X, (2,), n_trees=20)
         (forest,) = grown
         level, depth = forest.roots, 0
