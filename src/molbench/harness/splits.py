@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..errors import DataError
-from ..molgraph import Molecule, murcko_scaffold
+from ..molgraph import Molecule, murcko_key
 from .datasets import Dataset
 
 
@@ -37,7 +37,7 @@ def scaffold_split(
 
     groups: dict[int, list[int]] = {}
     for i, mol in enumerate(molecules):
-        groups.setdefault(murcko_scaffold(mol).key, []).append(i)
+        groups.setdefault(murcko_key(mol), []).append(i)
     if len(groups) < 2:
         raise DataError(
             f"scaffold split impossible: only {len(groups)} scaffold group(s)"

@@ -20,6 +20,7 @@ from .scaffold import (
     EMPTY_SCAFFOLD_KEY,
     Scaffold,
     largest_fragment,
+    murcko_key,
     murcko_scaffold,
     scaffold_key,
 )
@@ -37,6 +38,7 @@ __all__ = [
     "bridge_bonds",
     "shortest_path_distances",
     "murcko_scaffold",
+    "murcko_key",
     "scaffold_key",
     "largest_fragment",
     "induced_subgraph",

@@ -8,7 +8,6 @@ lists and builds each atom once. ``bridge_bonds`` finds ring bonds and
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Sequence
 
 import numpy as np
@@ -216,16 +215,21 @@ def perceive(mol: Molecule, offsets: Sequence[int] = ()) -> Molecule:
 def shortest_path_distances(mol: Molecule) -> np.ndarray:
     """All-pairs hop counts by BFS; UNREACHABLE across fragments."""
     n = mol.n_atoms
-    dist = np.full((n, n), UNREACHABLE, dtype=np.int32)
+    adjacency = [[nbr for nbr, _ in nbrs] for nbrs in mol.neighbors]
+    rows = []
     for source in range(n):
-        row = dist[source]
+        row = [UNREACHABLE] * n
         row[source] = 0
-        queue = deque([source])
-        while queue:
-            current = queue.popleft()
-            d = row[current] + 1
-            for nbr, _ in mol.neighbors[current]:
-                if row[nbr] == UNREACHABLE:
-                    row[nbr] = d
-                    queue.append(nbr)
-    return dist
+        frontier = [source]
+        d = 0
+        while frontier:
+            d += 1
+            reached = []
+            for current in frontier:
+                for nbr in adjacency[current]:
+                    if row[nbr] == UNREACHABLE:
+                        row[nbr] = d
+                        reached.append(nbr)
+            frontier = reached
+        rows.append(row)
+    return np.array(rows, dtype=np.int32).reshape(n, n)

@@ -33,8 +33,49 @@ def murcko_scaffold(mol: Molecule) -> Scaffold:
 
     Non-ring atoms of degree <= 1 are deleted iteratively; atoms attached to
     the retained core by a double or triple bond are kept (e.g. exocyclic
-    carbonyl oxygens). Requires ring flags, which parse_smiles assigns.
+    carbonyl oxygens). The returned molecule is the core re-perceived, and
+    the key is that molecule's ``scaffold_key``.
+
+    The input must be perceived, as ``parse_smiles`` returns it: the
+    stripping reads ring flags, and ``murcko_key`` gives this key without
+    re-perceiving the core only because the input's aromaticity and bond
+    orders are already perceived.
     """
+    scaffold_mol = perceive(_murcko_core(mol))
+    return Scaffold(scaffold_mol, _wl_graph_key(scaffold_mol))
+
+
+def murcko_key(mol: Molecule) -> int:
+    """``murcko_scaffold(mol).key`` of a perceived molecule, without building
+    the scaffold molecule.
+
+    The key reads only element, charge, isotope, aromatic flag, bond order
+    and topology, and re-perceiving the core changes none of them:
+
+    - the core keeps every ring atom, and with them every ring bond, so ring
+      bonds stay ring bonds and chain bonds stay chain bonds;
+    - the input's aromatic atoms and bonds all lie in rings between aromatic
+      atoms, so none is demoted;
+    - single and double bonds become aromatic only as an alternating
+      6-cycle, which takes three ring double bonds. A perceived molecule
+      keeps such a cycle Kekule only where perception demoted an explicit
+      aromatic bond in it (``C1=C:C=C:C=C1``), so a core with three or more
+      ring double bonds is re-perceived as before.
+
+    Only implicit-hydrogen counts change, and the key does not read them.
+    """
+    core = _murcko_core(mol)
+    ring_doubles = sum(
+        bond.in_ring and bond.order is BondOrder.DOUBLE for bond in core.bonds
+    )
+    if ring_doubles >= 3:
+        core = perceive(core)
+    return _wl_graph_key(core)
+
+
+def _murcko_core(mol: Molecule) -> Molecule:
+    """The unperceived subgraph of rings, linkers and their multiply bonded
+    neighbours; it has no atoms when the molecule has no ring."""
     removed = [False] * mol.n_atoms
     degree = [mol.heavy_degree(i) for i in range(mol.n_atoms)]
     queue = [
@@ -55,9 +96,6 @@ def murcko_scaffold(mol: Molecule) -> Scaffold:
                 queue.append(nbr)
 
     core = {i for i in range(mol.n_atoms) if not removed[i]}
-    if not core:
-        return Scaffold(Molecule([], []), EMPTY_SCAFFOLD_KEY)
-
     attached = {
         nbr
         for atom in core
@@ -65,8 +103,7 @@ def murcko_scaffold(mol: Molecule) -> Scaffold:
         if nbr not in core
         and mol.bonds[bond_idx].order in (BondOrder.DOUBLE, BondOrder.TRIPLE)
     }
-    scaffold_mol = perceive(induced_subgraph(mol, core | attached))
-    return Scaffold(scaffold_mol, _wl_graph_key(scaffold_mol))
+    return induced_subgraph(mol, core | attached)
 
 
 def scaffold_key(scaffold: Scaffold) -> int:

@@ -1,6 +1,7 @@
 """Fingerprint identifiers, folding, and enumeration invariants."""
 
 import hashlib
+import struct
 from collections import Counter
 
 import numpy as np
@@ -45,6 +46,60 @@ class TestHashing:
         assert hashes.dtype == np.uint64
         assert [int(h) for h in hashes] == [hash_ints(*map(int, row)) for row in rows]
         assert hash_rows(rows[:0]).shape == (0,)
+
+    def test_hash_ints_matches_the_byte_loop_on_boundary_words(self):
+        for word in _BOUNDARY_WORDS:
+            assert hash_ints(word) == _byte_loop_hash(word)
+            assert hash_ints(7, word, 300) == _byte_loop_hash(7, word, 300)
+        assert hash_ints(*_BOUNDARY_WORDS) == _byte_loop_hash(*_BOUNDARY_WORDS)
+        assert hash_ints() == _byte_loop_hash()
+
+    def test_hash_ints_matches_the_byte_loop_on_random_tuples(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(20_000):
+            values = [_random_word(rng) for _ in range(int(rng.integers(0, 15)))]
+            assert hash_ints(*values) == _byte_loop_hash(*values)
+
+    @pytest.mark.parametrize("columns", ["small", "one_256", "one_minus_1", "full"])
+    def test_hash_rows_matches_the_byte_loop(self, columns):
+        rng = np.random.default_rng(5)
+        rows = rng.integers(0, 256, size=(40, 8), dtype=np.int64)
+        rows[:, 2] = 255
+        if columns == "one_256":
+            rows[17, [1, 5]] = 256
+        elif columns == "one_minus_1":
+            rows[3, [0, 6]] = -1
+        elif columns == "full":
+            rows[:, 4:] = rng.integers(-(2**63), 2**63 - 1, size=(40, 4), dtype=np.int64)
+        hashes = hash_rows(rows)
+        assert [int(h) for h in hashes] == [_byte_loop_hash(*map(int, row)) for row in rows]
+
+
+_BOUNDARY_WORDS = (
+    0, 1, 255, 256, 2**56, 2**63 - 1, -1, -255, -256, -(2**63), 2**64 - 1,
+)
+
+
+def _byte_loop_hash(*values: int) -> int:
+    """FNV-1a byte by byte over the little-endian words, then ``mix64``: the
+    reference ``hash_ints`` must equal."""
+    data = struct.pack(f"<{len(values)}Q", *(v & (2**64 - 1) for v in values))
+    h = 0xCBF29CE484222325
+    for byte in data:
+        h = ((h ^ byte) * 0x100000001B3) & (2**64 - 1)
+    return mix64(h)
+
+
+def _random_word(rng: np.random.Generator) -> int:
+    """A small, a negative, a boundary or a full 64-bit word."""
+    kind = int(rng.integers(0, 4))
+    if kind == 0:
+        return int(rng.integers(0, 300))
+    if kind == 1:
+        return -int(rng.integers(1, 2**63, dtype=np.uint64))
+    if kind == 2:
+        return _BOUNDARY_WORDS[int(rng.integers(0, len(_BOUNDARY_WORDS)))]
+    return int(rng.integers(0, 2**64, dtype=np.uint64))
 
 
 class TestInitialInvariants:

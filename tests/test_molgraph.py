@@ -1,6 +1,7 @@
 """Parser, ring perception, distances and scaffold behavior."""
 
 import hashlib
+from collections import deque
 
 import numpy as np
 import pytest
@@ -17,12 +18,14 @@ from molbench.molgraph import (
     ValenceError,
     bridge_bonds,
     largest_fragment,
+    murcko_key,
     murcko_scaffold,
     parse_smiles,
     scaffold_key,
     shortest_path_distances,
 )
 from molbench.harness import scaffold_split
+from molbench.molgraph import scaffold as scaffold_module
 
 from molgen import random_molecule, render_smiles
 
@@ -233,6 +236,40 @@ class TestDistances:
         assert np.array_equal(d, d.T)
         assert np.all(np.diag(d) == 0)
 
+    def test_matches_a_queue_bfs(self, toy_molecules):
+        rng = np.random.default_rng(19)
+        random = [
+            parse_smiles(render_smiles(*random_molecule(rng))) for _ in range(100)
+        ]
+        edge_cases = [
+            parse_smiles("[Na+].[Cl-]"),
+            parse_smiles("C"),
+            Molecule([], []),
+        ]
+        for mol in [*toy_molecules, *random, *edge_cases]:
+            d = shortest_path_distances(mol)
+            expected = _queue_bfs_distances(mol)
+            assert d.dtype == np.int32
+            assert d.shape == (mol.n_atoms, mol.n_atoms)
+            assert np.array_equal(d, expected)
+
+
+def _queue_bfs_distances(mol: Molecule) -> np.ndarray:
+    """One deque BFS per source, written into an int32 matrix in place."""
+    n = mol.n_atoms
+    dist = np.full((n, n), UNREACHABLE, dtype=np.int32)
+    for source in range(n):
+        row = dist[source]
+        row[source] = 0
+        queue = deque([source])
+        while queue:
+            current = queue.popleft()
+            for nbr, _ in mol.neighbors[current]:
+                if row[nbr] == UNREACHABLE:
+                    row[nbr] = row[current] + 1
+                    queue.append(nbr)
+    return dist
+
 
 class TestScaffolds:
     def test_acyclic_empty(self):
@@ -267,6 +304,53 @@ class TestScaffolds:
         benzene = murcko_scaffold(parse_smiles("c1ccccc1"))
         cyclohexane = murcko_scaffold(parse_smiles("C1CCCCC1"))
         assert benzene.key != cyclohexane.key
+
+    @pytest.mark.parametrize(
+        "smiles",
+        [
+            "CCO",  # acyclic
+            "O=C1CCCCC1",  # exocyclic C=O kept
+            "CC(=O)c1ccccc1",  # side-chain C=O stripped
+            "c1ccc2ccccc2c1",  # fused aromatic rings
+            "O=C1c2ccccc2C(=O)c2ccccc21",  # fused, with exocyclic C=O
+            "C1CC2CCC1C2",  # bridged
+            "c1ccccc1CCC1CC1.[Na+].[Cl-]",  # several fragments
+            "C1=CC=CC=CC=C1",  # four ring double bonds, no 6-cycle
+            "O=C1C=CC(=O)C=C1",  # quinone: two ring double bonds
+            "C1=C:C=C:C=C1",  # Kekule ring the first perception leaves
+            "CC1=C:C=C:C=C1C",
+        ],
+    )
+    def test_murcko_key_is_the_scaffold_key(self, smiles):
+        mol = parse_smiles(smiles)
+        scaffold = murcko_scaffold(mol)
+        assert murcko_key(mol) == scaffold.key == scaffold_key(scaffold)
+
+    def test_murcko_key_on_toy_and_random_molecules(self, toy_molecules):
+        rng = np.random.default_rng(23)
+        random = [
+            parse_smiles(render_smiles(*random_molecule(rng))) for _ in range(400)
+        ]
+        empty = set()
+        for mol in [*toy_molecules, *random]:
+            scaffold = murcko_scaffold(mol)
+            assert murcko_key(mol) == scaffold.key == scaffold_key(scaffold)
+            empty.add(scaffold.is_empty)
+        assert empty == {True, False}
+
+    def test_scaffold_split_never_perceives(self, toy_molecules, monkeypatch):
+        calls = []
+        original = scaffold_module.perceive
+
+        def counting_perceive(mol, *args):
+            calls.append(mol.n_atoms)
+            return original(mol, *args)
+
+        monkeypatch.setattr(scaffold_module, "perceive", counting_perceive)
+        scaffold_split(toy_molecules)
+        assert calls == []
+        murcko_scaffold(toy_molecules[0])
+        assert len(calls) == 1
 
     def test_idempotent(self):
         rng = np.random.default_rng(11)
