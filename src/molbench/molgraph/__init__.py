@@ -22,7 +22,6 @@ from .scaffold import (
     largest_fragment,
     murcko_key,
     murcko_scaffold,
-    scaffold_key,
 )
 
 __all__ = [
@@ -39,7 +38,6 @@ __all__ = [
     "shortest_path_distances",
     "murcko_scaffold",
     "murcko_key",
-    "scaffold_key",
     "largest_fragment",
     "induced_subgraph",
     "neighborhood_hash",

@@ -118,7 +118,11 @@ def perceive(mol: Molecule, offsets: Sequence[int] = ()) -> Molecule:
     and per-ring: atoms flagged aromatic on input stay aromatic only inside
     rings, and any 6-cycle of alternating single/double bonds among C/N/O/S
     (a 6 pi-electron Huckel ring) is rewritten to aromatic atoms and bonds.
-    Fused-system aromaticity beyond single rings is not perceived.
+    An aromatic bond outside a ring or between atoms not flagged aromatic
+    (``:`` in ``C1=C:C=C:C=C1``) is read as single before that 6-cycle
+    search, so every spelling of a benzenoid ring gets one reading and
+    ``perceive`` is a fixed point. Fused-system aromaticity beyond single
+    rings is not perceived.
 
     Implicit hydrogens fill each organic-subset atom up to its lowest allowed
     valence; bracket atoms get none. Aromatic pi donors (B/C/N/P) get one
@@ -135,6 +139,17 @@ def perceive(mol: Molecule, offsets: Sequence[int] = ()) -> Molecule:
     # input-flagged aromatic atoms survive only inside rings
     atom_aromatic = [a.aromatic and r for a, r in zip(mol.atoms, atom_in_ring)]
     bond_order = [b.order for b in mol.bonds]
+
+    # aromatic bonds outside rings or between non-aromatic endpoints (a
+    # biphenyl junction, ``:`` in C1=C:C=C:C=C1) are single; demoting them
+    # first lets the Kekule pass see such a ring alternate
+    for bond_idx, bond in enumerate(mol.bonds):
+        if bond_order[bond_idx] is BondOrder.AROMATIC and not (
+            bond_in_ring[bond_idx]
+            and atom_aromatic[bond.a1]
+            and atom_aromatic[bond.a2]
+        ):
+            bond_order[bond_idx] = BondOrder.SINGLE
 
     # Kekule normalization: alternating 6-cycles of ring C/N/O/S become
     # aromatic; without a ring double bond no cycle can alternate
@@ -159,16 +174,6 @@ def perceive(mol: Molecule, offsets: Sequence[int] = ()) -> Molecule:
             atom_aromatic[i] = True
         for b in bond_indices:
             bond_order[b] = BondOrder.AROMATIC
-
-    # demote aromatic bond orders that ended up outside rings or between
-    # non-aromatic endpoints (e.g. the junction bond of a biphenyl)
-    for bond_idx, bond in enumerate(mol.bonds):
-        if bond_order[bond_idx] is BondOrder.AROMATIC and not (
-            bond_in_ring[bond_idx]
-            and atom_aromatic[bond.a1]
-            and atom_aromatic[bond.a2]
-        ):
-            bond_order[bond_idx] = BondOrder.SINGLE
 
     atoms = []
     for i, atom in enumerate(mol.atoms):

@@ -33,13 +33,9 @@ def murcko_scaffold(mol: Molecule) -> Scaffold:
 
     Non-ring atoms of degree <= 1 are deleted iteratively; atoms attached to
     the retained core by a double or triple bond are kept (e.g. exocyclic
-    carbonyl oxygens). The returned molecule is the core re-perceived, and
-    the key is that molecule's ``scaffold_key``.
-
-    The input must be perceived, as ``parse_smiles`` returns it: the
-    stripping reads ring flags, and ``murcko_key`` gives this key without
-    re-perceiving the core only because the input's aromaticity and bond
-    orders are already perceived.
+    carbonyl oxygens). The returned molecule is the core re-perceived, so
+    its implicit-hydrogen counts are right. The input must be perceived, as
+    ``parse_smiles`` returns it: the stripping reads ring flags.
     """
     scaffold_mol = perceive(_murcko_core(mol))
     return Scaffold(scaffold_mol, _wl_graph_key(scaffold_mol))
@@ -49,28 +45,11 @@ def murcko_key(mol: Molecule) -> int:
     """``murcko_scaffold(mol).key`` of a perceived molecule, without building
     the scaffold molecule.
 
-    The key reads only element, charge, isotope, aromatic flag, bond order
-    and topology, and re-perceiving the core changes none of them:
-
-    - the core keeps every ring atom, and with them every ring bond, so ring
-      bonds stay ring bonds and chain bonds stay chain bonds;
-    - the input's aromatic atoms and bonds all lie in rings between aromatic
-      atoms, so none is demoted;
-    - single and double bonds become aromatic only as an alternating
-      6-cycle, which takes three ring double bonds. A perceived molecule
-      keeps such a cycle Kekule only where perception demoted an explicit
-      aromatic bond in it (``C1=C:C=C:C=C1``), so a core with three or more
-      ring double bonds is re-perceived as before.
-
-    Only implicit-hydrogen counts change, and the key does not read them.
+    Re-perceiving the core would change only implicit-hydrogen counts, which
+    the key does not read: the core keeps every ring bond, and ``perceive``
+    is a fixed point on the input's aromatic flags and bond orders.
     """
-    core = _murcko_core(mol)
-    ring_doubles = sum(
-        bond.in_ring and bond.order is BondOrder.DOUBLE for bond in core.bonds
-    )
-    if ring_doubles >= 3:
-        core = perceive(core)
-    return _wl_graph_key(core)
+    return _wl_graph_key(_murcko_core(mol))
 
 
 def _murcko_core(mol: Molecule) -> Molecule:
@@ -104,13 +83,6 @@ def _murcko_core(mol: Molecule) -> Molecule:
         and mol.bonds[bond_idx].order in (BondOrder.DOUBLE, BondOrder.TRIPLE)
     }
     return induced_subgraph(mol, core | attached)
-
-
-def scaffold_key(scaffold: Scaffold) -> int:
-    """Recompute the scaffold's 64-bit key from its molecule."""
-    if scaffold.is_empty:
-        return EMPTY_SCAFFOLD_KEY
-    return _wl_graph_key(scaffold.molecule)
 
 
 def _partition(labels: list[int]) -> tuple:

@@ -52,7 +52,7 @@ from .reports import (
 logger = logging.getLogger(__name__)
 
 CONFIG_VERSION = 1
-_GRID_REVISION = 5  # bump to invalidate caches when grids/heads change
+_GRID_REVISION = 6  # bump to invalidate caches when grids, heads or features change
 
 
 @dataclass(frozen=True)

@@ -242,8 +242,8 @@ class TestCellCacheKey:
     @pytest.mark.parametrize(
         "fingerprint, key",
         [
-            (FingerprintConfig("ecfp"), "5b7dce34ba2fc1a4"),
-            (FingerprintConfig("atom_pair", 1, 256, False), "12e5531cc9d249c8"),
+            (FingerprintConfig("ecfp"), "ef50dbd8cfdb913e"),
+            (FingerprintConfig("atom_pair", 1, 256, False), "b9bb95f165252e0d"),
         ],
         ids=["ecfp", "atom_pair-binary-256"],
     )
