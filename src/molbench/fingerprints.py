@@ -30,6 +30,8 @@ MAX_PAIR_DISTANCE = 30
 
 KINDS = ("ecfp", "atom_pair", "topological_torsion")
 
+_PI_PER_BOND = {BondOrder.DOUBLE: 1, BondOrder.TRIPLE: 2}
+
 
 @dataclass(frozen=True)
 class FingerprintConfig:
@@ -49,36 +51,31 @@ class FingerprintConfig:
             )
 
 
-def pi_electrons(mol: Molecule, index: int) -> int:
-    """1 per incident double bond, 2 per triple, plus 1 for aromatic atoms."""
-    count = 1 if mol.atoms[index].aromatic else 0
-    for _, bond_idx in mol.neighbors[index]:
-        order = mol.bonds[bond_idx].order
-        if order is BondOrder.DOUBLE:
-            count += 1
-        elif order is BondOrder.TRIPLE:
-            count += 2
-    return count
-
-
-def atom_invariant(mol: Molecule, index: int) -> tuple[int, int, int, int, int, int]:
-    """Deterministic per-atom tuple seeding the circular fingerprint."""
-    atom = mol.atoms[index]
-    return (
-        atom.atomic_number,
-        mol.heavy_degree(index),
-        atom.total_h,
-        atom.formal_charge,
-        int(atom.in_ring),
-        pi_electrons(mol, index),
-    )
+def pi_electrons(mol: Molecule) -> list[int]:
+    """Per atom: 1 per incident double bond, 2 per triple, plus 1 if aromatic."""
+    counts = [int(atom.aromatic) for atom in mol.atoms]
+    for bond in mol.bonds:
+        extra = _PI_PER_BOND.get(bond.order, 0)
+        counts[bond.a1] += extra
+        counts[bond.a2] += extra
+    return counts
 
 
 def initial_invariants(mol: Molecule) -> list[int]:
-    """64-bit identifiers of the per-atom invariant tuples."""
+    """64-bit identifiers of the per-atom invariant tuples seeding ECFP:
+    element, heavy degree, hydrogens, charge, ring flag, pi electrons."""
+    pi = pi_electrons(mol)
     return [
-        hash_ints(_TAG_ATOM_ENV, *atom_invariant(mol, i))
-        for i in range(mol.n_atoms)
+        hash_ints(
+            _TAG_ATOM_ENV,
+            atom.atomic_number,
+            mol.heavy_degree(i),
+            atom.total_h,
+            atom.formal_charge,
+            int(atom.in_ring),
+            pi[i],
+        )
+        for i, atom in enumerate(mol.atoms)
     ]
 
 
@@ -118,14 +115,6 @@ def ecfp_identifiers(mol: Molecule, radius: int) -> list[int]:
     return survivors
 
 
-def _pair_type(mol: Molecule, index: int) -> tuple[int, int, int]:
-    return (
-        mol.atoms[index].atomic_number,
-        mol.heavy_degree(index),
-        pi_electrons(mol, index),
-    )
-
-
 def atom_pair_identifiers(mol: Molecule) -> np.ndarray:
     """One identifier per same-fragment heavy-atom pair within distance 30.
 
@@ -133,8 +122,10 @@ def atom_pair_identifiers(mol: Molecule) -> np.ndarray:
     the two atom types ordered as tuples; the pairs come in (i, j) order.
     """
     distances = shortest_path_distances(mol)
+    pi = pi_electrons(mol)
     types = np.array(
-        [_pair_type(mol, i) for i in range(mol.n_atoms)], dtype=np.int64
+        [(a.atomic_number, mol.heavy_degree(i), pi[i]) for i, a in enumerate(mol.atoms)],
+        dtype=np.int64,
     ).reshape(-1, 3)
     first, second = np.triu_indices(mol.n_atoms, k=1)
     d = distances[first, second].astype(np.int64)
@@ -148,17 +139,12 @@ def atom_pair_identifiers(mol: Molecule) -> np.ndarray:
     return hash_rows(np.hstack([tag, low, d[:, None], high]))
 
 
-def _torsion_type(mol: Molecule, index: int) -> tuple[int, int, int]:
-    return (
-        mol.atoms[index].atomic_number,
-        pi_electrons(mol, index),
-        mol.heavy_degree(index),
-    )
-
-
 def torsion_identifiers(mol: Molecule) -> list[int]:
     """One identifier per undirected simple path of four distinct atoms."""
-    types = [_torsion_type(mol, i) for i in range(mol.n_atoms)]
+    pi = pi_electrons(mol)
+    types = [
+        (a.atomic_number, pi[i], mol.heavy_degree(i)) for i, a in enumerate(mol.atoms)
+    ]
     identifiers = []
     for bond in mol.bonds:
         b, c = bond.a1, bond.a2

@@ -85,15 +85,12 @@ def _murcko_core(mol: Molecule) -> Molecule:
     return induced_subgraph(mol, core | attached)
 
 
-def _partition(labels: list[int]) -> tuple:
-    groups: dict[int, list[int]] = {}
-    for i, label in enumerate(labels):
-        groups.setdefault(label, []).append(i)
-    return tuple(sorted(tuple(members) for members in groups.values()))
-
-
 def _wl_graph_key(mol: Molecule) -> int:
     """Iterated neighborhood hashing to a stable partition, order-free combine.
+
+    A refined label hashes the atom's previous one, so a round can only split
+    label classes; the partition is stable once the class count stops
+    growing, and that round's labels make the key.
 
     Isomorphic graphs always map to equal keys; distinct graphs may collide
     only through 64-bit hash collisions or WL-indistinguishability, both
@@ -112,10 +109,11 @@ def _wl_graph_key(mol: Molecule) -> int:
         )
         for atom in mol.atoms
     ]
+    classes = len(set(labels))
     for _ in range(n):
-        previous = _partition(labels)
         labels = [neighborhood_hash(mol, labels, i, _TAG_REFINE) for i in range(n)]
-        if _partition(labels) == previous:
+        previous, classes = classes, len(set(labels))
+        if classes == previous:
             break
     key = hash_ints(_TAG_KEY, n, mol.n_bonds, *sorted(labels))
     return key if key != EMPTY_SCAFFOLD_KEY else 1

@@ -16,10 +16,16 @@ from molbench.fingerprints import (
     featurize,
     fold_identifiers,
     initial_invariants,
+    pi_electrons,
     torsion_identifiers,
 )
 from molbench.hashing import hash_ints, hash_rows, mix64
-from molbench.molgraph import UNREACHABLE, parse_smiles, shortest_path_distances
+from molbench.molgraph import (
+    UNREACHABLE,
+    BondOrder,
+    parse_smiles,
+    shortest_path_distances,
+)
 
 from molgen import random_molecule, random_smiles_pair, render_smiles
 
@@ -100,6 +106,40 @@ def _random_word(rng: np.random.Generator) -> int:
     if kind == 2:
         return _BOUNDARY_WORDS[int(rng.integers(0, len(_BOUNDARY_WORDS)))]
     return int(rng.integers(0, 2**64, dtype=np.uint64))
+
+
+def _reference_pi_electrons(mol, index):
+    """1 if aromatic, +1 per incident double bond, +2 per triple."""
+    count = 1 if mol.atoms[index].aromatic else 0
+    for _, bond_idx in mol.neighbors[index]:
+        order = mol.bonds[bond_idx].order
+        if order is BondOrder.DOUBLE:
+            count += 1
+        elif order is BondOrder.TRIPLE:
+            count += 2
+    return count
+
+
+class TestPiElectrons:
+    @pytest.mark.parametrize(
+        "smiles, expected",
+        [
+            ("C#N", [2, 2]),
+            ("C=C=C", [1, 2, 1]),
+            ("O=C1C=CC(=O)C=C1", [1] * 8),  # quinone: not aromatic
+            ("c1ccccc1C#C", [1] * 6 + [2, 2]),
+        ],
+    )
+    def test_small_molecules(self, smiles, expected):
+        mol = parse_smiles(smiles)
+        assert pi_electrons(mol) == expected
+        assert expected == [_reference_pi_electrons(mol, i) for i in range(mol.n_atoms)]
+
+    def test_matches_the_per_atom_definition(self, toy_molecules):
+        for mol in toy_molecules:
+            assert pi_electrons(mol) == [
+                _reference_pi_electrons(mol, i) for i in range(mol.n_atoms)
+            ]
 
 
 class TestInitialInvariants:

@@ -20,11 +20,13 @@ from molbench.molgraph import (
     largest_fragment,
     murcko_key,
     murcko_scaffold,
+    neighborhood_hash,
     parse_smiles,
     perceive,
     shortest_path_distances,
 )
 from molbench.fingerprints import KINDS, FingerprintConfig, compute_fingerprint
+from molbench.hashing import hash_ints
 from molbench.harness import scaffold_split
 from molbench.molgraph import scaffold as scaffold_module
 
@@ -310,6 +312,40 @@ def _queue_bfs_distances(mol: Molecule) -> np.ndarray:
     return dist
 
 
+def _label_partition(labels):
+    groups = {}
+    for i, label in enumerate(labels):
+        groups.setdefault(label, []).append(i)
+    return sorted(groups.values())
+
+
+def _reference_wl_key(mol):
+    """The scaffold key refined until the atom partition itself repeats."""
+    n = mol.n_atoms
+    if n == 0:
+        return scaffold_module.EMPTY_SCAFFOLD_KEY
+    labels = [
+        hash_ints(
+            scaffold_module._TAG_ATOM,
+            atom.atomic_number,
+            atom.formal_charge,
+            atom.isotope or 0,
+            int(atom.aromatic),
+        )
+        for atom in mol.atoms
+    ]
+    for _ in range(n):
+        previous = _label_partition(labels)
+        labels = [
+            neighborhood_hash(mol, labels, i, scaffold_module._TAG_REFINE)
+            for i in range(n)
+        ]
+        if _label_partition(labels) == previous:
+            break
+    key = hash_ints(scaffold_module._TAG_KEY, n, mol.n_bonds, *sorted(labels))
+    return key if key != scaffold_module.EMPTY_SCAFFOLD_KEY else 1
+
+
 class TestScaffolds:
     def test_acyclic_empty(self):
         scaffold = murcko_scaffold(parse_smiles("CCO"))
@@ -375,6 +411,17 @@ class TestScaffolds:
             assert murcko_key(mol) == scaffold.key
             empty.add(scaffold.is_empty)
         assert empty == {True, False}
+
+    def test_class_count_stop_matches_the_partition_rule(self, toy_molecules):
+        rng = np.random.default_rng(37)
+        random = [
+            parse_smiles(render_smiles(*random_molecule(rng))) for _ in range(400)
+        ]
+        spelled = [parse_smiles(smiles) for smiles in COLON_SPELLINGS]
+        for mol in [*toy_molecules, *random, *spelled]:
+            scaffold = murcko_scaffold(mol)
+            assert scaffold.key == _reference_wl_key(scaffold.molecule)
+            assert murcko_key(mol) == _reference_wl_key(scaffold_module._murcko_core(mol))
 
     def test_scaffold_split_never_perceives(self, toy_molecules, monkeypatch):
         calls = []
