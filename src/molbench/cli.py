@@ -53,7 +53,7 @@ def _cmd_fingerprint(args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    _, molecules, _, dropped = read_smiles_table(args.input, args.smiles_column)
+    _, molecules, _, _, dropped = read_smiles_table(args.input, args.smiles_column)
     if dropped:  # one output row per entry, so every entry must parse
         raise DataError(f"{args.input} entry {dropped[0]}: SMILES does not parse")
     matrix = featurize(molecules, cfg)
@@ -69,14 +69,12 @@ def _cmd_fingerprint(args) -> int:
 def _cmd_split(args) -> int:
     if not 0.0 < args.frac_train < 1.0:
         raise ConfigError(f"--frac-train must be in (0, 1), got {args.frac_train}")
-    _, molecules, _, dropped = read_smiles_table(args.input, args.smiles_column)
-    skip = set(dropped)
-    kept_rows = [i for i in range(len(molecules) + len(dropped)) if i not in skip]
+    _, molecules, _, rows, dropped = read_smiles_table(args.input, args.smiles_column)
     split = scaffold_split(molecules, args.frac_train)
     payload = {
         "frac_train": args.frac_train,
-        "train": [kept_rows[i] for i in split.train_idx],
-        "test": [kept_rows[i] for i in split.test_idx],
+        "train": [rows[i] for i in split.train_idx],
+        "test": [rows[i] for i in split.test_idx],
         "dropped_rows": dropped,
     }
     Path(args.output).write_text(json.dumps(payload, sort_keys=True) + "\n")

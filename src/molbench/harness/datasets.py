@@ -1,9 +1,10 @@
 """Dataset and embedding ingestion.
 
-Datasets are CSV files with a header, one SMILES column and one 0/1/empty
-column per task. Embeddings arrive either as numeric CSV or as the packed
-binary format (magic ``EMB1``, little-endian u32 version, u64 rows, u32 dim,
-then rows*dim float32 values).
+Every text input is UTF-8, read by ``_utf8_lines``. Datasets are CSV files
+with a header, one SMILES column and one 0/1/empty column per task.
+Embeddings, one vector per data row of the dataset, arrive either as numeric
+CSV or as the packed binary format (magic ``EMB1``, little-endian u32 version,
+u64 rows, u32 dim, then rows*dim float32 values).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import logging
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -29,7 +30,8 @@ EMBEDDING_VERSION = 1
 
 @dataclass
 class Dataset:
-    """Parsed molecules with a molecules x tasks label matrix (NaN = missing)."""
+    """Parsed molecules with a molecules x tasks label matrix (NaN = missing);
+    ``rows`` are their positions among the file's data rows (default: all)."""
 
     name: str
     smiles: list[str]
@@ -37,8 +39,10 @@ class Dataset:
     task_names: list[str]
     molecules: list[Molecule] = field(repr=False, default_factory=list)
     n_dropped: int = 0
+    rows: Optional[np.ndarray] = field(repr=False, default=None)
 
     def __post_init__(self):
+        self.rows = np.arange(len(self.smiles)) if self.rows is None else np.asarray(self.rows)
         self.labels = np.asarray(self.labels, dtype=np.float64)
         if self.labels.ndim != 2:
             raise DataError(f"labels must be 2-D, got shape {self.labels.shape}")
@@ -67,14 +71,22 @@ class Dataset:
         return self.labels.shape[1]
 
 
+def _utf8_lines(path: Union[str, Path]) -> Iterator[str]:
+    """A UTF-8 file's lines, ends kept and split as in text mode, decoded one
+    binary line at a time with a leading byte-order mark dropped; other bytes
+    are a DataError naming the file and the row (binary line) they are on."""
+    with open(path, "rb") as handle:
+        for number, line in enumerate(handle, start=1):
+            try:
+                text = line.decode("utf-8-sig" if number == 1 else "utf-8")
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{path} row {number}: not UTF-8 text ({exc.reason})") from None
+            yield from io.StringIO(text, newline="")
+
+
 def read_text(path: Union[str, Path]) -> str:
-    """A file's UTF-8 text; other bytes are a DataError naming the file and row."""
-    data = Path(path).read_bytes()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise DataError(f"{path} row {line}: not UTF-8 text ({exc.reason})") from None
+    """A file's UTF-8 text, as ``_utf8_lines`` reads it."""
+    return "".join(_utf8_lines(path))
 
 
 def write_csv(path: Union[str, Path], header: Sequence, rows: Iterable[Sequence]) -> None:
@@ -89,7 +101,7 @@ def read_smiles_table(
     path: Union[str, Path],
     smiles_column: Optional[str] = None,
     columns: Sequence[str] = (),
-) -> tuple[list[str], list[Molecule], list[list[str]], list[int]]:
+) -> tuple[list[str], list[Molecule], list[list[str]], list[int], list[int]]:
     """Parse the SMILES of every data row of a SMILES table.
 
     The table is a CSV whose header names ``smiles_column`` and ``columns``,
@@ -97,9 +109,9 @@ def read_smiles_table(
     of blanks is not a data row; a data row shorter than the header, or text
     that is not UTF-8, is a DataError naming the file and the row.
 
-    Returns the SMILES, molecule and ``columns`` cells (one list per column)
-    of the rows that parse, and the positions among the data rows of those
-    that do not, a blank SMILES included; each of these is logged.
+    Returns the SMILES, molecule, ``columns`` cells (one list per column) and
+    position among the data rows of each row that parses, and the positions
+    of those that do not, a blank SMILES included; each of these is logged.
     """
     path = Path(path)
     text = read_text(path)
@@ -122,10 +134,10 @@ def read_smiles_table(
     smiles: list[str] = []
     molecules: list[Molecule] = []
     cells: list[list[str]] = [[] for _ in columns]
+    kept: list[int] = []
     dropped: list[int] = []
-    for number, row in rows:
-        if not "".join(row).strip():
-            continue
+    data_rows = ((number, row) for number, row in rows if "".join(row).strip())
+    for data_row, (number, row) in enumerate(data_rows):
         if len(row) < len(header):
             raise DataError(
                 f"{path} row {number}: short row ({len(row)} of {len(header)} cells)"
@@ -135,15 +147,16 @@ def read_smiles_table(
             molecule = parse_smiles(entry)
         except ValueError as exc:  # SmilesParseError, ValenceError
             logger.warning("%s row %d: cannot parse SMILES %r (%s)", path, number, entry, exc)
-            dropped.append(len(smiles) + len(dropped))
+            dropped.append(data_row)
         else:
+            kept.append(data_row)
             smiles.append(entry)
             molecules.append(molecule)
             for column_cells, i in zip(cells, cell_idx):
                 column_cells.append(row[i])
     if not molecules:
         raise DataError(f"{path}: no rows with parseable SMILES")
-    return smiles, molecules, cells, dropped
+    return smiles, molecules, cells, kept, dropped
 
 
 def _parse_label(cell: str) -> float:
@@ -170,7 +183,7 @@ def load_dataset(
     path = Path(path)
     if not task_columns:
         raise DataError("at least one task column is required")
-    smiles, molecules, cells, dropped = read_smiles_table(path, smiles_column, task_columns)
+    smiles, molecules, cells, kept, dropped = read_smiles_table(path, smiles_column, task_columns)
     if keep_largest_fragment:
         molecules = [largest_fragment(mol) for mol in molecules]
     labels = np.empty((len(smiles), len(task_columns)))
@@ -192,6 +205,7 @@ def load_dataset(
         task_names=list(task_columns),
         molecules=molecules,
         n_dropped=len(dropped),
+        rows=kept,
     )
 
 
@@ -200,11 +214,12 @@ def load_embeddings(
     *,
     expected_rows: Optional[int] = None,
 ) -> np.ndarray:
-    """The finite 2-D float64 vector table of an EMB1 binary or numeric CSV file."""
+    """The finite 2-D float64 vector table of an EMB1 binary or numeric CSV
+    file, with ``expected_rows`` vectors if given: one per data row of the
+    dataset, in file order, dropped rows included."""
     path = Path(path)
     with open(path, "rb") as handle:
-        magic = handle.read(4)
-        if magic == EMBEDDING_MAGIC:
+        if handle.read(4) == EMBEDDING_MAGIC:
             vectors = _read_binary_embeddings(handle, path)
         else:
             vectors = _read_csv_embeddings(path)
@@ -213,7 +228,7 @@ def load_embeddings(
     if expected_rows is not None and vectors.shape[0] != expected_rows:
         raise DataError(
             f"{path}: {vectors.shape[0]} embedding rows but dataset has "
-            f"{expected_rows} molecules"
+            f"{expected_rows} data rows"
         )
     return vectors
 
@@ -235,41 +250,26 @@ def _read_binary_embeddings(handle, path: Path) -> np.ndarray:
     return data.reshape(rows, dim)
 
 
-def _utf8_lines(handle, path: Path):
-    """A binary file's lines as text, decoded one at a time (an embedding CSV
-    can be tens of MB); bytes that are not UTF-8 are a DataError naming the
-    file and the row. A lone ``\\r`` ends a line too, as in text mode."""
-    for number, line in enumerate(handle, start=1):
-        try:
-            text = line.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path} row {number}: not UTF-8 text ({exc.reason})") from None
-        yield from text.splitlines(keepends=True)
-
-
 def _read_csv_embeddings(path: Path) -> np.ndarray:
     rows: list[list[float]] = []
     width = None
-    with open(path, "rb") as handle:
-        for row_number, row in enumerate(csv.reader(_utf8_lines(handle, path)), start=1):
-            if not row:
-                continue
-            try:
-                values = [float(cell) for cell in row]
-            except ValueError:
-                if row_number == 1:
-                    continue  # optional header row
-                raise DataError(
-                    f"{path} row {row_number}: non-numeric embedding entry"
-                ) from None
-            if width is None:
-                width = len(values)
-            elif len(values) != width:
-                raise DataError(
-                    f"{path} row {row_number}: ragged row "
-                    f"({len(values)} columns, expected {width})"
-                )
-            rows.append(values)
+    for row_number, row in enumerate(csv.reader(_utf8_lines(path)), start=1):
+        if not row:
+            continue
+        try:
+            values = [float(cell) for cell in row]
+        except ValueError:
+            if row_number == 1:
+                continue  # optional header row
+            raise DataError(f"{path} row {row_number}: non-numeric embedding entry") from None
+        if width is None:
+            width = len(values)
+        elif len(values) != width:
+            raise DataError(
+                f"{path} row {row_number}: ragged row "
+                f"({len(values)} columns, expected {width})"
+            )
+        rows.append(values)
     if not rows:
         raise DataError(f"{path}: no embedding rows")
     return np.asarray(rows, dtype=np.float64)

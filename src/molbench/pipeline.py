@@ -335,8 +335,8 @@ def _evaluate_cell(
         else:
             features = load_embeddings(
                 rep.embedding_paths[entry.name],
-                expected_rows=dataset.n_molecules,
-            )
+                expected_rows=dataset.n_molecules + dataset.n_dropped,
+            )[dataset.rows]
         split = scaffold_split(dataset, config.frac_train)
         records = tune_and_evaluate(
             dataset,

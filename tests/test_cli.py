@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from molbench import pipeline
 from molbench.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DIAGNOSTICS, EXIT_OK, main
 from molbench.harness import ScoreRecord, ScoreTable, load_embeddings
 
@@ -495,6 +496,117 @@ class TestCompareCommand:
         path.write_text("a,b\n1,2\n")
         code = main(["compare", "--scores", str(path), "--output-dir", str(tmp_path / "o")])
         assert code == EXIT_DATA
+
+
+BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark some editors put first
+
+
+def _with_bom(path, tmp_path):
+    """A copy of ``path`` under ``bom/`` with a byte-order mark in front."""
+    copy = tmp_path / "bom" / path.name
+    copy.parent.mkdir(exist_ok=True)
+    copy.write_bytes(BOM + path.read_bytes())
+    return copy
+
+
+class TestByteOrderMark:
+    """A leading byte-order mark is dropped from every input file, so each
+    reads as the same file without it."""
+
+    @staticmethod
+    def _evaluate(config_path):
+        out_dir = config_path.parent / "run"
+        argv = ["evaluate", "--config", str(config_path), "--output-dir", str(out_dir)]
+        assert main(argv) == EXIT_OK
+        return (out_dir / "scores.csv").read_bytes()
+
+    def test_dataset_csv(self, dataset_csv, tmp_path):
+        written = []
+        for data in (dataset_csv, _with_bom(dataset_csv, tmp_path)):
+            config = _evaluate_config(data, [("ECFP-count", "ecfp")])
+            data.with_suffix(".json").write_text(json.dumps(config))
+            written.append(self._evaluate(data.with_suffix(".json")))
+        assert written[0] == written[1]
+
+    def test_plain_smiles_file(self, tmp_path):
+        path = tmp_path / "mols.smi"
+        path.write_bytes(BOM + b"c1ccccc1\nC1CCCCC1\nc1ccoc1\nC1CCNCC1\n")
+        out = tmp_path / "split.json"
+        argv = ["split", "--input", str(path), "--frac-train", "0.5", "--output", str(out)]
+        assert main(argv) == EXIT_OK
+        payload = json.loads(out.read_text())
+        assert payload["dropped_rows"] == []
+        assert sorted(payload["train"] + payload["test"]) == [0, 1, 2, 3]
+
+    def test_score_table(self, scores_csv, tmp_path):
+        written = []
+        for scores in (scores_csv, _with_bom(scores_csv, tmp_path)):
+            out_dir = scores.parent / "cmp"
+            argv = ["compare", "--scores", str(scores), "--output-dir", str(out_dir)]
+            assert main(argv) == EXIT_OK
+            written.append((out_dir / "pairwise_summary.csv").read_bytes())
+        assert written[0] == written[1]
+
+    def test_config(self, dataset_csv, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(_evaluate_config(dataset_csv, [("ECFP-count", "ecfp")])))
+        written = [self._evaluate(path) for path in (config, _with_bom(config, tmp_path))]
+        assert written[0] == written[1]
+
+    def test_embedding_csv_without_header(self, tmp_path):
+        path = tmp_path / "emb.csv"
+        path.write_bytes(BOM + b"0.5,1.5\n-1.0,2.0\n0.0,3.5\n")
+        expected = [[0.5, 1.5], [-1.0, 2.0], [0.0, 3.5]]
+        assert load_embeddings(path).tolist() == expected  # the first row is no header
+
+
+# eight data rows; the third does not parse, so the dataset has 7 molecules
+_ROWS = [
+    ("c1ccccc1C", 0), ("C1CCCCC1N", 1), ("C1CC", 1), ("c1ccccc1CC", 0),
+    ("C1CCCCC1NC", 1), ("c1ccoc1C", 0), ("C1CCNCC1", 1), ("c1ccccc1CCC", 0),
+]
+
+
+def _embedding_run(tmp_path, vectors):
+    """The exit code of ``evaluate`` on one embedding cell: ``vectors`` on
+    the eight-row dataset."""
+    data = tmp_path / "rows.csv"
+    data.write_text("smiles,activity\n" + "".join(f"{s},{label}\n" for s, label in _ROWS))
+    emb = tmp_path / "emb.csv"
+    emb.write_text("".join(",".join(map(repr, row)) + "\n" for row in vectors.tolist()))
+    config = _evaluate_config(data, [])
+    config["datasets"][0]["name"] = "rows"
+    config["representations"] = [
+        {"name": "emb", "type": "embedding", "paths": {"rows": str(emb)}}
+    ]
+    config["baseline"] = "emb"
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    return main(
+        ["evaluate", "--config", str(config_path), "--output-dir", str(tmp_path / "out")]
+    )
+
+
+class TestEmbeddingRows:
+    """An embedding file holds one vector per data row, dropped rows included."""
+
+    def test_one_vector_per_data_row(self, tmp_path, monkeypatch):
+        seen, tune_and_evaluate = [], pipeline.tune_and_evaluate
+
+        def spy(dataset, features, *args, **kwargs):
+            seen.append(features.copy())
+            return tune_and_evaluate(dataset, features, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "tune_and_evaluate", spy)
+        vectors = np.arange(8 * 3, dtype=np.float64).reshape(8, 3)
+        assert _embedding_run(tmp_path, vectors) == EXIT_OK
+        (features,) = seen
+        assert np.array_equal(features, np.delete(vectors, 2, axis=0))
+
+    def test_one_vector_per_molecule_is_data_error(self, tmp_path, capsys):
+        vectors = np.arange(7 * 3, dtype=np.float64).reshape(7, 3)
+        assert _embedding_run(tmp_path, vectors) == EXIT_DATA
+        assert "7 embedding rows but dataset has 8 data rows" in capsys.readouterr().err
 
 
 def _compare_config(scores_csv):

@@ -64,6 +64,7 @@ class TestLoadDataset:
         ds = load_dataset(path, "smiles", ["y"])
         assert ds.n_molecules == 9
         assert ds.n_dropped == 1
+        assert ds.rows.tolist() == [0, 1, 2, 3, 5, 6, 7, 8, 9]
 
     def test_non_binary_label(self, tmp_path):
         path = _write(tmp_path / "d.csv", "smiles,y\nCC,2\n")
@@ -137,6 +138,34 @@ class TestEmbeddings:
     def test_header_row_tolerated(self, tmp_path):
         path = _write(tmp_path / "e.csv", "a,b\n1.0,2.0\n")
         assert load_embeddings(path).shape == (1, 2)
+
+
+# a Latin-1 byte (0xe9) on row 4, after \r\n line ends and before lone \r ones
+_LINE_ENDS = {
+    "dataset": b"smiles,y,name\r\nCC,0,a\r\nCCO,1,b\r\nCCC,1,\xe9\rCCN,0,d\rCCCO,1,e\r\n",
+    "scores": (
+        b"model,dataset,head,auroc\r\nalpha,d0,best,0.5\r\nbeta,d0,best,0.6\r\n"
+        b"alpha,d\xe9,best,0.7\rbeta,d1,best,0.8\ralpha,d2,best,0.9\r\n"
+    ),
+    "embedding": b"0.1,0.2\r\n0.3,0.4\r\n0.5,0.6\r\n0.7,0.\xe9\r0.9,1.0\r",
+}
+_READERS = {
+    "dataset": lambda path: load_dataset(path, "smiles", ["y"]).n_molecules,
+    "scores": lambda path: len(ScoreTable.from_csv(path)),
+    "embedding": lambda path: load_embeddings(path).shape[0],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_LINE_ENDS))
+def test_line_ends_and_bad_bytes_read_alike(kind, tmp_path):
+    # \r\n and a lone \r each end a row; a byte that is not UTF-8 is named
+    # by its file and row
+    path = tmp_path / f"{kind}.csv"
+    path.write_bytes(_LINE_ENDS[kind].replace(b"\xe9", b"5"))
+    assert _READERS[kind](path) == 5
+    path.write_bytes(_LINE_ENDS[kind])
+    with pytest.raises(DataError, match=rf"{kind}\.csv row 4: not UTF-8 text"):
+        _READERS[kind](path)
 
 
 def _toy_dataset(smiles, labels):
