@@ -74,14 +74,20 @@ class Dataset:
 def _utf8_lines(path: Union[str, Path]) -> Iterator[str]:
     """A UTF-8 file's lines, ends kept and split as in text mode, decoded one
     binary line at a time with a leading byte-order mark dropped; other bytes
-    are a DataError naming the file and the row (binary line) they are on."""
+    are a DataError naming the file and the row (text line) they are on."""
+    rows = 0
     with open(path, "rb") as handle:
-        for number, line in enumerate(handle, start=1):
+        for number, line in enumerate(handle):
             try:
-                text = line.decode("utf-8-sig" if number == 1 else "utf-8")
+                text = line.decode("utf-8" if number else "utf-8-sig")
             except UnicodeDecodeError as exc:
-                raise DataError(f"{path} row {number}: not UTF-8 text ({exc.reason})") from None
-            yield from io.StringIO(text, newline="")
+                # the text lines before the bad byte, plus (the "?") the one it is on
+                prefix = exc.object[: exc.start].decode("utf-8") + "?"
+                rows += len(io.StringIO(prefix, newline="").readlines())
+                raise DataError(f"{path} row {rows}: not UTF-8 text ({exc.reason})") from None
+            lines = io.StringIO(text, newline="").readlines()
+            rows += len(lines)
+            yield from lines
 
 
 def read_text(path: Union[str, Path]) -> str:
@@ -114,12 +120,12 @@ def read_smiles_table(
     of those that do not, a blank SMILES included; each of these is logged.
     """
     path = Path(path)
-    text = read_text(path)
+    lines = _utf8_lines(path)
     if smiles_column is None:
-        rows = ((number, [line]) for number, line in enumerate(text.splitlines(), start=1))
+        rows = enumerate(([line.rstrip("\r\n")] for line in lines), start=1)
         header = [None]  # one unnamed column
     else:
-        reader = csv.reader(io.StringIO(text, newline=""))
+        reader = csv.reader(lines)
         header = next(reader, None)
         if header is None:
             raise DataError(f"{path}: empty file")

@@ -14,7 +14,7 @@ import json
 import logging
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from dataclasses import MISSING, astuple, dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Union
@@ -319,9 +319,20 @@ def _write_cached_cell(path: Path, payload: dict) -> None:
 
 
 def _evaluate_cell(
-    config: BenchmarkConfig, entry: DatasetEntry, rep: RepresentationEntry
+    config: BenchmarkConfig,
+    entry: DatasetEntry,
+    rep: RepresentationEntry,
+    cache_path: Path,
+    resume: bool,
 ) -> dict:
-    """Compute one (representation, dataset) cell; skips are marked, not fatal."""
+    """One (representation, dataset) cell's payload: with ``resume``, the
+    cache entry at ``cache_path`` if it is readable; else computed (skips are
+    marked, not fatal) and written there."""
+    if resume and cache_path.exists():
+        cached = _read_cached_cell(cache_path)
+        if cached is not None:
+            return cached
+    logger.info("evaluating %s x %s", rep.name, entry.name)
     try:
         dataset = load_dataset(
             entry.path,
@@ -347,10 +358,13 @@ def _evaluate_cell(
         )
     except DatasetSkipped as exc:
         logger.warning("skipping cell: %s", exc)
-        return {"skipped": str(exc), "records": []}
+        payload = {"skipped": str(exc), "records": []}
     except (DataError, OSError, ValueError) as exc:
         raise DataError(f"[{rep.name} x {entry.name}] {exc}") from exc
-    return {"records": [{"head": r.head, "auroc": r.auroc} for r in records]}
+    else:
+        payload = {"records": [{"head": r.head, "auroc": r.auroc} for r in records]}
+    _write_cached_cell(cache_path, payload)
+    return payload
 
 
 def run_evaluation(
@@ -360,68 +374,40 @@ def run_evaluation(
     jobs: int = 1,
     resume: bool = False,
 ) -> ScoreTable:
-    """Fill the score table cell by cell, caching each completed cell."""
+    """Fill the score table cell by cell; each cell keeps its own cache entry."""
     out_dir = Path(out_dir)
     cache_dir = out_dir / "cache"
     cache_dir.mkdir(parents=True, exist_ok=True)
 
-    cells = [
-        (entry, rep) for rep in config.representations for entry in config.datasets
-    ]
-    pending = []
-    results: dict[tuple[str, str], dict] = {}
-    for entry, rep in cells:
-        try:
-            cache_key = _cell_cache_key(config, entry, rep)
-        except OSError as exc:
-            raise DataError(f"[{rep.name} x {entry.name}] {exc}") from exc
-        cache_path = cache_dir / f"{rep.name}__{entry.name}__{cache_key}.json"
-        cached = _read_cached_cell(cache_path) if resume and cache_path.exists() else None
-        if cached is not None:
-            results[(entry.name, rep.name)] = cached
-        else:
-            pending.append((entry, rep, cache_path))
+    # every key first, so an unreadable input fails before any cell runs
+    cells = []
+    for rep in config.representations:
+        for entry in config.datasets:
+            try:
+                cache_key = _cell_cache_key(config, entry, rep)
+            except OSError as exc:
+                raise DataError(f"[{rep.name} x {entry.name}] {exc}") from exc
+            cache_path = cache_dir / f"{rep.name}__{entry.name}__{cache_key}.json"
+            cells.append((config, entry, rep, cache_path, resume))
 
-    if pending:
-        if jobs > 1 and len(pending) > 1:
-            # cache each cell as it lands, so a failing cell or an interrupt
-            # keeps every cell that finished; after the first failure the
-            # cells not yet started are cancelled, the running ones are
-            # still cached, and then the failure is raised
-            failure: Optional[Exception] = None
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                futures = {
-                    pool.submit(_evaluate_cell, config, entry, rep): (entry, rep, cache_path)
-                    for entry, rep, cache_path in pending
-                }
-                for future in as_completed(futures):
-                    entry, rep, cache_path = futures[future]
-                    try:
-                        payload = future.result()
-                    except Exception as exc:  # also a cell cancelled after a failure
-                        if failure is None:
-                            failure = exc
-                            for other in futures:
-                                other.cancel()
-                        continue
-                    results[(entry.name, rep.name)] = payload
-                    _write_cached_cell(cache_path, payload)
-            if failure is not None:
-                raise failure
-        else:
-            for entry, rep, cache_path in pending:
-                logger.info("evaluating %s x %s", rep.name, entry.name)
-                payload = _evaluate_cell(config, entry, rep)
-                results[(entry.name, rep.name)] = payload
-                _write_cached_cell(cache_path, payload)
+    if jobs > 1 and len(cells) > 1:
+        # after the first failure the cells not yet started are cancelled and
+        # the running ones finish; the pool starts cells in table order, so
+        # the cancelled ones follow every cell that ran, and the first
+        # ``result()`` to raise is that of the first failing cell in table order
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            futures = [pool.submit(_evaluate_cell, *cell) for cell in cells]
+            wait(futures, return_when=FIRST_EXCEPTION)
+            for future in futures:
+                future.cancel()
+        payloads = [future.result() for future in futures]
+    else:
+        payloads = [_evaluate_cell(*cell) for cell in cells]
 
     table = ScoreTable()
-    for entry in config.datasets:
-        for rep in config.representations:
-            for raw in results[(entry.name, rep.name)]["records"]:
-                table.add(
-                    ScoreRecord(rep.name, entry.name, raw["head"], float(raw["auroc"]))
-                )
+    for (_, entry, rep, _, _), payload in zip(cells, payloads):
+        for raw in payload["records"]:
+            table.add(ScoreRecord(rep.name, entry.name, raw["head"], float(raw["auroc"])))
     table.to_csv(out_dir / "scores.csv")
     return table
 

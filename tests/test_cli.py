@@ -8,6 +8,7 @@ import pytest
 from molbench import pipeline
 from molbench.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DIAGNOSTICS, EXIT_OK, main
 from molbench.harness import ScoreRecord, ScoreTable, load_embeddings
+from molbench.molgraph import UnknownElementError, parse_smiles
 
 SMILES = (
     [f"c1ccccc1{'C' * (1 + i % 4)}" for i in range(8)]
@@ -150,6 +151,20 @@ class TestSplitCommand:
         payload = json.loads(out.read_text())
         assert payload["dropped_rows"] == [1]
         assert sorted(payload["train"] + payload["test"]) == [0, 2, 3]
+
+    def test_plain_smiles_lines_end_only_at_line_ends(self, tmp_path):
+        # a form feed inside a line is no line end, so the line is one row,
+        # and "CCO\fCCN" does not parse
+        path = tmp_path / "mols.smi"
+        path.write_bytes(b"CCO\x0cCCN\nc1ccccc1\nC1CCCCC1\n")
+        out = tmp_path / "split.json"
+        argv = ["split", "--input", str(path), "--frac-train", "0.5", "--output", str(out)]
+        assert main(argv) == EXIT_OK
+        payload = json.loads(out.read_text())
+        assert payload["dropped_rows"] == [0]
+        assert sorted(payload["train"] + payload["test"]) == [1, 2]
+        with pytest.raises(UnknownElementError):
+            parse_smiles("CCO\x0cCCN")
 
 
 def _evaluate_config(dataset_csv, representations):

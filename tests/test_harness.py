@@ -168,6 +168,20 @@ def test_line_ends_and_bad_bytes_read_alike(kind, tmp_path):
         _READERS[kind](path)
 
 
+@pytest.mark.parametrize(
+    "last_row, message",
+    [(b"CC\xe9C,1\r", "row 4: not UTF-8 text"), (b"CC\r", "row 4: short row")],
+    ids=["bad-byte", "short-row"],
+)
+def test_rows_counted_in_text_lines(last_row, message, tmp_path):
+    # with lone \r line ends the whole file is one binary line; a bad byte
+    # is named by the text line it is on, as a short row is
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"smiles,y\rCC,0\rCCO,1\r" + last_row)
+    with pytest.raises(DataError, match=rf"d\.csv {message}"):
+        load_dataset(path, "smiles", ["y"])
+
+
 def _toy_dataset(smiles, labels):
     molecules = [parse_smiles(s) for s in smiles]
     return Dataset(

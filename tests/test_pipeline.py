@@ -259,11 +259,12 @@ class TestCellCacheKey:
 
 
 class TestEvaluationPipeline:
-    def test_scores_and_cache(self, workspace):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_scores_and_cache(self, workspace, jobs):
         tmp_path, _, document = workspace
         config = parse_config(document)
         out = tmp_path / "out"
-        table = run_evaluation(config, out)
+        table = run_evaluation(config, out, jobs=jobs)
         assert len(table) == 8  # 2 representations x 1 dataset x 4 heads
         assert (out / "scores.csv").exists()
         cache_files = sorted((out / "cache").glob("*.json"))
@@ -271,13 +272,13 @@ class TestEvaluationPipeline:
 
         # resume: nothing recomputed, identical table
         mtimes = {p: p.stat().st_mtime_ns for p in cache_files}
-        again = run_evaluation(config, out, resume=True)
+        again = run_evaluation(config, out, jobs=jobs, resume=True)
         assert again == table
         assert {p: p.stat().st_mtime_ns for p in cache_files} == mtimes
 
         # deleting one cached cell recomputes only that cell
         cache_files[0].unlink()
-        third = run_evaluation(config, out, resume=True)
+        third = run_evaluation(config, out, jobs=jobs, resume=True)
         assert third == table
         assert cache_files[0].exists()
         assert cache_files[1].stat().st_mtime_ns == mtimes[cache_files[1]]
@@ -402,6 +403,34 @@ class TestEvaluationPipeline:
         table = run_evaluation(config, out, jobs=2, resume=True)
         assert kept.stat().st_mtime_ns == mtime
         assert table == run_evaluation(config, tmp_path / "serial")
+
+    def test_parallel_failure_names_the_first_failing_cell(self, workspace, tmp_path):
+        # two cells fail at once on two workers; the first in table order is
+        # the slower to fail, so the finishing order would name the other
+        root, _, document = workspace
+        np.savetxt(root / "slow.csv", np.zeros((3, 20_000)), delimiter=",")
+        write_embeddings(root / "fast.emb", np.zeros((3, 8)))  # too few rows: DataError
+        document = dict(
+            document,
+            representations=[
+                {"name": name, "type": "embedding", "paths": {"tiny": str(root / file)}}
+                for name, file in (("emb-a", "slow.csv"), ("emb-b", "fast.emb"))
+            ],
+            baseline="emb-a",
+        )
+        with pytest.raises(DataError, match=r"\[emb-a x tiny\]"):
+            run_evaluation(parse_config(document), tmp_path / "out", jobs=2)
+
+    def test_unreadable_input_fails_before_any_cell_runs(self, workspace, tmp_path):
+        _, _, document = workspace
+        document = json.loads(json.dumps(document))
+        document["representations"] = document["representations"][:1]
+        gone = dict(document["datasets"][0], name="gone", path=str(tmp_path / "gone.csv"))
+        document["datasets"].append(gone)
+        out = tmp_path / "out"
+        with pytest.raises(DataError, match=r"\[ECFP-count x gone\]"):
+            run_evaluation(parse_config(document), out)
+        assert list((out / "cache").iterdir()) == []
 
     def test_comparison_outputs_deterministic(self, workspace, tmp_path):
         from molbench.pipeline import write_comparison_outputs
