@@ -429,7 +429,7 @@ def write_comparison_outputs(
     )
     write_csv(out_dir / "pairwise_summary.csv", header, rows)
 
-    ppc = posterior_predictive_check(posterior, table, seed=bbt_config.seed)
+    ppc = posterior_predictive_check(posterior, table)
     payload = {
         "ranking": list(ranking.order),
         "posterior_mean": ranking.posterior_mean,

@@ -374,6 +374,87 @@ class TestPpc:
         assert len(result.p_values) == 1
 
 
+    def test_matches_brute_force_tail_sums(self):
+        # one table holds fractional tie counts, pairs that take the upper
+        # tail (k > n/2) and the lower tail, k = 0, k = n and an uncompared
+        # pair; the draws include win probabilities of exactly 0.0 and 1.0
+        rng = np.random.default_rng(21)
+        beta = rng.normal(0.0, 1.0, size=(40, 4))
+        beta[0] = [400.0, -400.0, 20.0, -20.0]  # pi 1.0 for (a, b) and (c, d)
+        beta[1] = [-400.0, 400.0, 0.0, 0.0]  # pi 0.0 for (a, b)
+        posterior = _posterior_from_beta(beta, ("a", "b", "c", "d"))
+        wins = np.array(
+            [
+                [0.0, 5.5, 0.0, 3.0],
+                [4.5, 0.0, 7.0, 0.0],
+                [0.0, 0.0, 0.0, 2.5],
+                [4.0, 6.0, 3.5, 0.0],
+            ]
+        )
+        table = WinTable(posterior.models, wins)
+        assert _inverse_logit(800.0) == 1.0 and _inverse_logit(-800.0) == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = posterior_predictive_check(posterior, table)
+        assert result.pairs == (("a", "b"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d"))
+        assert np.max(np.abs(result.p_values - _brute_force_p_values(posterior, table))) <= 1e-12
+
+    def test_within_monte_carlo_error_of_simulated_replicates(self):
+        rng = np.random.default_rng(22)
+        beta = rng.normal(0.0, 0.4, size=(16_000, 4)) + np.array([0.6, 0.2, -0.2, -0.6])
+        posterior = _posterior_from_beta(beta)
+        table = simulate_win_table(posterior.models, beta.mean(axis=0), 12, rng)
+        exact = posterior_predictive_check(posterior, table).p_values
+        simulated = _monte_carlo_p_values(posterior, table, seed=3)
+        error = np.sqrt(exact * (1.0 - exact) / len(beta))
+        assert np.all(np.abs(simulated - exact) <= 4.0 * error + 1e-12)
+
+    def test_seed_is_ignored(self):
+        posterior = _posterior_from_beta(np.random.default_rng(23).normal(0.0, 0.5, (500, 3)))
+        table = WinTable(posterior.models, np.array([[0, 4, 2], [1, 0, 3], [3, 2, 0]], dtype=float))
+        first = posterior_predictive_check(posterior, table, seed=0)
+        assert np.array_equal(first.p_values, posterior_predictive_check(posterior, table, seed=9).p_values)
+
+
+def _inverse_logit(delta):
+    if delta >= 0.0:
+        return 1.0 / (1.0 + math.exp(-delta))
+    odds = math.exp(delta)
+    return odds / (1.0 + odds)
+
+
+def _brute_force_p_values(posterior, table):
+    """Each draw's P(X >= k) summed from math.comb terms, then averaged."""
+    p_values = []
+    for i in range(table.n_models):
+        for j in range(i + 1, table.n_models):
+            n = math.floor(table.totals[i, j] + 0.5)
+            if n == 0:
+                continue
+            k = math.floor(table.wins[i, j] + 0.5)
+            tails = []
+            for draw in posterior.beta_draws:
+                pi = _inverse_logit(draw[i] - draw[j])
+                tails.append(
+                    math.fsum(math.comb(n, x) * pi**x * (1.0 - pi) ** (n - x) for x in range(k, n + 1))
+                )
+            p_values.append(math.fsum(tails) / len(tails))
+    return np.array(p_values)
+
+
+def _monte_carlo_p_values(posterior, table, seed):
+    """The check before it was exact: one binomial replicate per draw and pair."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    first, second = np.triu_indices(table.n_models, 1)
+    trials = np.floor(table.totals[first, second] + 0.5).astype(np.int64)
+    compared = trials > 0
+    first, second, trials = first[compared], second[compared], trials[compared]
+    observed = np.floor(table.wins[first, second] + 0.5)
+    delta = posterior.beta_draws[:, first] - posterior.beta_draws[:, second]
+    replicates = rng.binomial(trials, 1.0 / (1.0 + np.exp(-delta)))
+    return np.mean(replicates >= observed, axis=0)
+
+
 class TestSamplePosterior:
     def test_symmetric_two_model(self):
         table = WinTable(("a", "b"), np.array([[0.0, 5.0], [5.0, 0.0]]))
@@ -447,6 +528,24 @@ class TestSamplePosterior:
                 sample_posterior(
                     _ladder_table(), BBTConfig(chains=4, draws_per_chain=200, warmup=100, seed=0)
                 )
+
+    def test_leaves_the_error_state_as_found(self):
+        table = WinTable(("a", "b", "c"), np.array([[0, 4, 2], [1, 0, 3], [3, 2, 0]], dtype=float))
+        with np.errstate(divide="warn", over="raise", under="ignore", invalid="raise"):
+            before = np.geterr()
+            sample_posterior(table, BBTConfig(chains=2, draws_per_chain=1500, warmup=1500, seed=2))
+            assert np.geterr() == before
+            with pytest.raises(ConvergenceError):
+                sample_posterior(table, BBTConfig(chains=2, draws_per_chain=120, warmup=100, seed=0))
+            assert np.geterr() == before
+
+    def test_same_config_gives_bit_identical_draws(self):
+        config = BBTConfig(chains=3, draws_per_chain=1000, warmup=1000, seed=4)
+        first, second = (sample_posterior(_ladder_table(), config) for _ in range(2))
+        assert np.array_equal(first.beta_draws, second.beta_draws)
+        assert np.array_equal(first.sigma_draws, second.sigma_draws)
+        assert (first.r_hat, first.ess) == (second.r_hat, second.ess)
+        assert (first.step_size, first.accept_rate) == (second.step_size, second.accept_rate)
 
     def test_telemetry_and_chain_major_draws(self):
         table = WinTable(("a", "b", "c"), np.array([[0, 4, 2], [1, 0, 3], [3, 2, 0]], dtype=float))
