@@ -84,7 +84,8 @@ def _pair_summaries(
     rope_low, rope_high = config.rope
     stats = np.empty((len(first), 5))
     for rows, delta in _difference_blocks(posterior, first, second):
-        pi = 1.0 / (1.0 + np.exp(-delta))  # the inverse logit: win probabilities
+        with np.errstate(over="ignore"):  # delta < -709: 1 / (1 + inf) is exactly 0
+            pi = 1.0 / (1.0 + np.exp(-delta))  # the inverse logit: win probabilities
         low, high = _hdi_rows(np.sort(pi, axis=1), config.hdi_mass)
         in_rope = (pi >= rope_low) & (pi <= rope_high)
         stats[rows] = np.column_stack(

@@ -3,7 +3,7 @@
 All three enumerate typed subgraphs, hash them to 64-bit identifiers with a
 platform-stable mix, and fold the identifier multiset into a fixed-length
 vector by modulo. Count vectors record multiplicity; binary vectors record
-presence.
+presence. Either is int32.
 
 A ``FingerprintConfig`` states one fingerprint (kind, radius, length,
 counted); ``compute_fingerprint`` builds one molecule's vector and
@@ -27,6 +27,8 @@ _TAG_TORSION = 14
 
 #: atom-pair identifiers only encode topological distances up to this bound
 MAX_PAIR_DISTANCE = 30
+
+_MAX_COUNT = np.iinfo(np.int32).max  # fingerprint entries are int32
 
 KINDS = ("ecfp", "atom_pair", "topological_torsion")
 
@@ -167,9 +169,19 @@ def torsion_identifiers(mol: Molecule) -> list[int]:
 def fold_identifiers(
     identifiers: Sequence[int], length: int, counted: bool
 ) -> np.ndarray:
-    """Fold a 64-bit identifier multiset into positions by modulo."""
+    """Fold a 64-bit identifier multiset into positions by modulo: the int32
+    count of each position, or its presence bit when not ``counted``.
+
+    A count never exceeds ``len(identifiers)``, so fewer than 2**31
+    identifiers cannot wrap an int32 count; more raise ValueError.
+    """
     if length < 2:
         raise ValueError(f"length must be >= 2, got {length}")
+    if len(identifiers) > _MAX_COUNT:
+        raise ValueError(
+            f"{len(identifiers)} identifiers: a count above {_MAX_COUNT} "
+            "does not fit int32"
+        )
     # One temporary, reduced in place: a temporary per step, per molecule,
     # fragmented the C heap and raised dataset-2k's peak RSS by about 9 MB.
     # bincount refuses uint64; after the modulo every position fits int64.
@@ -177,8 +189,8 @@ def fold_identifiers(
     positions %= np.uint64(length)
     values = np.bincount(positions.view(np.int64), minlength=length)
     if not counted:
-        values = (values > 0).astype(np.int64)
-    return values
+        values = values > 0
+    return values.astype(np.int32)
 
 
 def compute_fingerprint(mol: Molecule, cfg: FingerprintConfig) -> np.ndarray:
@@ -192,8 +204,8 @@ def compute_fingerprint(mol: Molecule, cfg: FingerprintConfig) -> np.ndarray:
 
 
 def featurize(molecules: Sequence[Molecule], cfg: FingerprintConfig) -> np.ndarray:
-    """The ``(len(molecules), cfg.length)`` int64 matrix of fingerprint rows."""
-    matrix = np.zeros((len(molecules), cfg.length), dtype=np.int64)
+    """The ``(len(molecules), cfg.length)`` int32 matrix of fingerprint rows."""
+    matrix = np.zeros((len(molecules), cfg.length), dtype=np.int32)
     for row, mol in zip(matrix, molecules):
         row[:] = compute_fingerprint(mol, cfg)
     return matrix

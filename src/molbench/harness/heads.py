@@ -293,20 +293,23 @@ def logreg_scores(X_fit, y_fit, X_eval, grid) -> list[np.ndarray]:
     for c in range(0, X_fit.shape[1], step):
         scale[c : c + step] = X_fit[:, c : c + step].std(axis=0)
     scale[scale == 0.0] = 1.0  # constant columns stay zero after centering
-    if X_fit.shape[0] < X_fit.shape[1]:
-        gram = _standardized_products(X_fit, X_fit, mean, scale)
-        thetas = [_fit_logreg_span(gram, y_fit, reg_strength)[0] for reg_strength in grid]
-        del gram
-        features = _standardized_products(X_eval, X_fit, mean, scale)
-    else:
-        Xs = _standardized(X_fit, mean, scale)
-        thetas = [_fit_logreg(Xs, y_fit, reg_strength)[0] for reg_strength in grid]
-        del Xs  # free the standardized fit rows before standardizing the eval rows
-        features = _standardized(X_eval, mean, scale)
-    return [
-        (1.0 / (1.0 + np.exp(-(features @ theta[:-1] + theta[-1]))))[first]
-        for theta in thetas
-    ]
+    # A margin below about -709 overflows exp(-z) to inf, and 1 / (1 + inf)
+    # is the exact limit 0; one state here, not one per objective call.
+    with np.errstate(over="ignore"):
+        if X_fit.shape[0] < X_fit.shape[1]:
+            gram = _standardized_products(X_fit, X_fit, mean, scale)
+            thetas = [_fit_logreg_span(gram, y_fit, reg_strength)[0] for reg_strength in grid]
+            del gram
+            features = _standardized_products(X_eval, X_fit, mean, scale)
+        else:
+            Xs = _standardized(X_fit, mean, scale)
+            thetas = [_fit_logreg(Xs, y_fit, reg_strength)[0] for reg_strength in grid]
+            del Xs  # free the standardized fit rows before standardizing the eval rows
+            features = _standardized(X_eval, mean, scale)
+        return [
+            (1.0 / (1.0 + np.exp(-(features @ theta[:-1] + theta[-1]))))[first]
+            for theta in thetas
+        ]
 
 
 # Most cells one batched split search may cover: rows x candidates, and for the

@@ -284,6 +284,15 @@ class TestPairSummary:
         with pytest.raises(ValueError):
             pair_summary(posterior, 1, 1)
 
+    def test_far_apart_abilities_give_exact_zero_without_warning(self):
+        # exp(800) overflows to inf; the win probability is its limit, 0
+        posterior = _posterior_from_beta(np.tile([-400.0, 400.0], (200, 1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            summary = pair_summary(posterior, 0, 1)
+        assert (summary.mean, summary.hdi_low, summary.hdi_high) == (0.0, 0.0, 0.0)
+        assert summary.p_above_half == 0.0
+
 
 class TestDecide:
     def _summary(self, mean, p_in_rope):

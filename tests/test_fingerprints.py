@@ -2,6 +2,7 @@
 
 import hashlib
 import struct
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -279,6 +280,17 @@ class TestFold:
         with pytest.raises(ValueError):
             fold_identifiers([1], 1, True)
 
+    def test_more_identifiers_than_an_int32_count_holds(self):
+        class Sized:  # the length alone; folding never starts
+            def __len__(self):
+                return 2**31
+
+            def __iter__(self):
+                raise AssertionError("iterated")
+
+        with pytest.raises(ValueError, match="does not fit int32"):
+            fold_identifiers(Sized(), 2048, True)
+
     def test_matches_loop_reference(self):
         def reference(identifiers, length, counted):
             values = np.zeros(length, dtype=np.int64)
@@ -292,7 +304,7 @@ class TestFold:
             for length in (2, 64, 2048):
                 for counted in (True, False):
                     got = fold_identifiers(identifiers, length, counted)
-                    assert got.dtype == np.int64
+                    assert got.dtype == np.int32
                     assert np.array_equal(got, reference(identifiers, length, counted))
 
 
@@ -316,7 +328,7 @@ class TestFeaturize:
         cfg = FingerprintConfig(kind, length=128, counted=False)
         molecules = [parse_smiles(s) for s in ("CCO", "c1ccccc1CC(=O)O", "C")]
         out = featurize(molecules, cfg)
-        assert out.dtype == np.int64
+        assert out.dtype == np.int32
         assert out.shape == (3, 128)
         for row, mol in zip(out, molecules):
             assert np.array_equal(row, compute_fingerprint(mol, cfg))
@@ -324,7 +336,19 @@ class TestFeaturize:
     def test_zero_molecules(self):
         out = featurize([], FingerprintConfig("atom_pair", length=64))
         assert out.shape == (0, 64)
-        assert out.dtype == np.int64
+        assert out.dtype == np.int32
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_peak_memory_is_the_matrix(self, toy_molecules, kind):
+        # measured 27-41 KB above the matrix's 1.7 MB for the three kinds; an
+        # int64 matrix anywhere on the way would add at least 3.4 MB
+        tracemalloc.start()
+        try:
+            matrix = featurize(toy_molecules, FingerprintConfig(kind))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= matrix.nbytes + 64 * 1024
 
     def test_atom_order_invariance_all_kinds(self):
         rng = np.random.default_rng(99)

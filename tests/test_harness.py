@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -369,6 +370,21 @@ class TestLogisticHead:
         y = (np.arange(10) >= 5).astype(float)
         (scores,) = logreg_scores(X, y, X, (1.0,))
         assert np.all(np.isfinite(scores))
+
+    def test_outlier_eval_row_scores_its_limit_without_warning(self):
+        # feature 0 decides the label, so its weight is positive and an
+        # entry of -1e6 drives exp(-z) past the float range
+        rng = np.random.default_rng(2)
+        X = rng.poisson(1.0, size=(40, 60)).astype(float)
+        y = (X[:, 0] > np.median(X[:, 0])).astype(float)
+        X_eval = rng.poisson(1.0, size=(8, 60)).astype(float)
+        X_eval[3, 0] = -1e6
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (scores,) = logreg_scores(X, y, X_eval, (1.0,))
+        assert scores[3] == 0.0
+        others = np.delete(scores, 3)
+        assert np.all((others > 0.0) & (others < 1.0))
 
     @staticmethod
     def _few_rows_many_features():
@@ -1179,6 +1195,23 @@ class TestTuneAndEvaluate:
             features[:, 0] += 1.5 * dataset.labels[:, 0]
         records = tune_and_evaluate(dataset, features, split, kind, specs=_small_specs(3))
         assert {r.head: r.auroc for r in records} == expected
+
+    def test_int32_counts_score_as_their_int64_copy(self, monkeypatch):
+        # every head sees the float64 rows either width widens to exactly
+        from molbench.data import toy_dataset_path
+        from molbench.harness import evaluate
+
+        monkeypatch.setattr(evaluate, "N_TREES", 25)
+        ds = load_dataset(toy_dataset_path(), "smiles", ["activity"])
+        features = featurize(ds.molecules, FingerprintConfig("ecfp"))
+        assert features.dtype == np.int32
+        split = scaffold_split(ds, 0.8)
+        narrow, wide = (
+            tune_and_evaluate(ds, matrix, split, "ecfp", specs=_small_specs(1))
+            for matrix in (features, features.astype(np.int64))
+        )
+        assert [r.head for r in narrow] == ["knn", "logreg", "random_forest", BEST_HEAD]
+        assert narrow == wide
 
     def test_folds_built_once_per_task_per_cell(self, monkeypatch):
         from molbench.harness import evaluate
