@@ -18,14 +18,17 @@ makes two moves:
   pin the abilities down. It reuses the cached likelihood, so it costs a few
   array operations.
 
-Warmup tunes each chain's step size by dual averaging toward 0.8 acceptance
-(Hoffman & Gelman 2014), estimates the mass matrix from the pooled chains in
-two windows spanning 15%-90% of warmup (regularised as Stan does), and tunes
-the scale of the sigma move toward 0.44 acceptance. At the end of warmup the
-step size and the move scale are pooled, so every chain runs the same kernel,
-and whatever depends only on the random numbers (step sizes, sigma-move
-proposals and their exponentials) is computed a block of iterations at a
-time.
+The run is cut into blocks of iterations, and the kernel is fixed within a
+block: whatever depends only on the random numbers (step sizes, sigma-move
+proposals and their exponentials) is computed for the whole block at once,
+and warmup and sampling run the same iteration. Warmup adapts between its
+blocks of 16 iterations. Each block takes one dual-averaging step of each
+chain's step size toward 0.8 acceptance (Hoffman & Gelman 2014) and one
+Robbins-Monro step of the sigma move's scale toward 0.44, both from the
+block's mean acceptance. The mass matrix is estimated from the pooled chains
+in two windows spanning 15%-90% of warmup (regularised as Stan does), at the
+end of the block that closes each window. At the end of warmup the step size
+and the move scale are pooled, so every chain runs the same kernel.
 """
 
 from __future__ import annotations
@@ -47,6 +50,8 @@ _RHAT_LIMIT = 1.01
 _ESS_FLOOR = 400.0
 
 _LEAPFROG_STEPS = 2
+_WARMUP_BLOCK = 16  # iterations per adaptation step
+_SAMPLING_BLOCK = 256  # iterations whose random numbers are drawn at once after warmup
 _TARGET_ACCEPT = 0.8  # HMC acceptance the step size is tuned toward
 _STEP_JITTER = 0.2  # each transition uses step * U(1 - jitter, 1 + jitter)
 _INITIAL_STEP = 0.1  # where dual averaging starts, before any mass-matrix window
@@ -253,18 +258,6 @@ class _NonCentred:
         return log_density, np.roll(rows.grad @ self.to_y.T, -1, axis=1)
 
 
-def _averaged_log_step(log_steps: np.ndarray) -> np.ndarray:
-    """Dual averaging's iterate average (Hoffman & Gelman 2014) of the log step
-    sizes in the rows of ``log_steps``, oldest first.
-
-    The recursion bar_n = w_n x_n + (1 - w_n) bar_(n-1) with w_n = n^-kappa
-    starts at w_1 = 1, so bar_n = sum_s w_s x_s prod_(r > s) (1 - w_r).
-    """
-    weight = np.arange(1, len(log_steps) + 1) ** -_DA_KAPPA
-    later = np.append(np.cumprod((1.0 - weight)[:0:-1])[::-1], 1.0)
-    return (weight * later) @ log_steps
-
-
 def _acceptance(log_ratio: np.ndarray) -> np.ndarray:
     """Metropolis acceptance probabilities, 0 where the log ratio is nan."""
     return np.exp(np.minimum(np.fmax(log_ratio, -np.inf), 0.0))
@@ -326,59 +319,54 @@ def sample_posterior(table: WinTable, config: Optional[BBTConfig] = None) -> Abi
     drift = kick.T.copy()
     p, push, shift = np.empty((chains, m)), np.empty((chains, m)), np.empty((chains, m + 1))
 
-    # warmup: dual averaging of the step size, restarted after each
-    # mass-matrix window, kept as the sum of the acceptance probabilities and
-    # the log step sizes they gave; Robbins-Monro on the sigma move's log scale
+    # warmup adapts between blocks: dual averaging of the log step size,
+    # restarted after each mass-matrix window, and Robbins-Monro on the sigma
+    # move's log scale
     count = 0
     accepted = np.zeros(chains)
     mu = np.full(chains, math.log(10.0 * _INITIAL_STEP))
     log_step_bar = np.full(chains, math.log(_INITIAL_STEP))
-    log_steps = np.empty((warmup, chains))
     step = np.full(chains, _INITIAL_STEP)
     log_move_scale = np.zeros(chains)
     move_scale = np.ones(chains)
     edges = [int(round(f * warmup)) for f in _METRIC_WINDOWS]
     windows = [(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]
-    window = np.empty((max([hi - lo for lo, hi in windows], default=0), chains, m))
-    log_ratios = np.empty((config.draws_per_chain, chains))  # post-warmup HMC
+    warmup_x = np.empty((warmup, chains, m))
     draws = np.empty((chains, config.draws_per_chain, m))  # post-warmup x, chain-major
-    eps_rows = np.empty((chains, m))
+    log_ratios = np.empty((total, chains))  # HMC
+    move_log_ratios = np.empty((total, chains))  # sigma move
 
-    # blocks of up to 256 iterations, none spanning the end of warmup
-    block = 256
-    firsts = [*range(0, warmup, block), *range(warmup, total, block)]
+    # blocks end at every window edge and at the end of warmup
+    bounds = sorted(
+        {*range(0, warmup, _WARMUP_BLOCK), *edges, *range(warmup, total, _SAMPLING_BLOCK), total}
+    )
     # a non-finite energy or sigma-move ratio is a rejection, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for first in firsts:
-            warming = first < warmup
-            span = min(block, (warmup if warming else total) - first)
+        for block, (first, end) in enumerate(zip(bounds, bounds[1:])):
+            span = end - first
             # per iteration and chain: momentum, sigma-move proposal, step
             # jitter and the two acceptance uniforms
             normals = np.stack([rng.standard_normal((span, m + 1)) for rng in rngs], axis=1)
             uniforms = np.stack([rng.random((span, 3)) for rng in rngs], axis=1)
-            jitter = 1.0 + _STEP_JITTER * (2.0 * uniforms[:, :, :1] - 1.0)
             log_u = np.log(uniforms[:, :, 1:])
             momenta = normals[:, :, :m]
             kinetic = 0.5 * np.vecdot(momenta, momenta)
-            if not warming:
-                # the kernel is fixed, so what the random numbers alone decide
-                # is computed for the whole block at once
-                eps_block = np.empty((span, chains, m))
-                np.multiply(step[:, None], jitter, out=eps_block)
-                half_block = 0.5 * eps_block
-                u_block = move_scale * normals[:, :, m]
-                a_block, c_block, d_block, shrink_block = _sigma_move_terms(u_block, m)
+            # the kernel is fixed within a block, so what the random numbers
+            # alone decide is computed for the whole block at once
+            jitter = 1.0 + _STEP_JITTER * (2.0 * uniforms[:, :, :1] - 1.0)
+            eps_block = np.empty((span, chains, m))
+            np.multiply(step[:, None], jitter, out=eps_block)
+            half_block = 0.5 * eps_block
+            u_block = move_scale * normals[:, :, m]
+            a_block, c_block, d_block, shrink_block = _sigma_move_terms(u_block, m)
+            if end <= warmup:
+                record = warmup_x[first:end]
+            else:
+                record = draws[:, first - warmup : end - warmup].swapaxes(0, 1)
             for b in range(span):
-                k = first + b
                 # one row per chain, so every product with eps below is elementwise
-                if warming:
-                    eps = np.multiply(step[:, None], jitter[b], out=eps_rows)
-                    half = 0.5 * eps
-                    u = move_scale * normals[b, :, m]
-                    a, c, d, shrink = _sigma_move_terms(u, m)
-                else:
-                    eps, half, u = eps_block[b], half_block[b], u_block[b]
-                    a, c, d, shrink = a_block[b], c_block[b], d_block[b], shrink_block[b]
+                eps, half, u = eps_block[b], half_block[b], u_block[b]
+                a, c, d, shrink = a_block[b], c_block[b], d_block[b], shrink_block[b]
 
                 # HMC: w = chol^-1 x has identity mass, so p ~ N(0, I); the
                 # two half kicks between drifts make one whole kick
@@ -412,41 +400,39 @@ def sample_posterior(table: WinTable, config: Optional[BBTConfig] = None) -> Abi
                 # every later sigma move would scale up with z
                 np.negative(state.z_free.sum(axis=1), out=state.z_last)
 
-                if warming:
-                    count += 1
-                    accepted += _acceptance(log_ratio)
-                    rate = math.sqrt(count) / (_DA_GAMMA * (count + _DA_T0))
-                    log_step = np.multiply(
-                        accepted - _TARGET_ACCEPT * count, rate, out=log_steps[count - 1]
-                    )
-                    log_step += mu
-                    step = np.exp(log_step)
-                    gain = (1.0 + 0.1 * k) ** -0.6
-                    log_move_scale += gain * (
-                        np.exp(np.minimum(log_alpha, 0.0)) - _SIGMA_MOVE_ACCEPT
-                    )
-                    move_scale = np.exp(log_move_scale)
-                    for lo, hi in windows:
-                        if lo <= k < hi:
-                            window[k - lo] = state.x
-                            if k + 1 == hi:
-                                chol = np.linalg.cholesky(_window_covariance(window[: hi - lo]))
-                                kick = target.to_y.T @ chol
-                                drift = kick.T.copy()
-                                log_step_bar = _averaged_log_step(log_steps[:count])
-                                mu = math.log(10.0) + log_step_bar
-                                accepted[:] = 0.0
-                                count = 0
-                                step = np.exp(log_step_bar)
-                    if k + 1 == warmup:
-                        # pool the tuned kernels so every chain samples alike
-                        if count:
-                            log_step_bar = _averaged_log_step(log_steps[:count])
-                        step = np.full(chains, math.exp(float(log_step_bar.mean())))
-                        move_scale = np.full(chains, math.exp(float(log_move_scale.mean())))
-                else:
-                    draws[:, k - warmup] = state.x
-                    log_ratios[k - warmup] = log_ratio
+                k = first + b
+                record[b] = state.x
+                log_ratios[k] = log_ratio
+                move_log_ratios[k] = log_alpha
+
+            if end > warmup:
+                continue
+            count += 1
+            accepted += _acceptance(log_ratios[first:end]).mean(axis=0)
+            rate = math.sqrt(count) / (_DA_GAMMA * (count + _DA_T0))
+            log_step = mu + (accepted - _TARGET_ACCEPT * count) * rate
+            step = np.exp(log_step)
+            # dual averaging's iterate average (Hoffman & Gelman 2014)
+            weight = count**-_DA_KAPPA
+            log_step_bar = weight * log_step + (1.0 - weight) * log_step_bar
+            gain = (1.0 + 0.1 * block) ** -0.6
+            log_move_scale += gain * (
+                _acceptance(move_log_ratios[first:end]).mean(axis=0) - _SIGMA_MOVE_ACCEPT
+            )
+            move_scale = np.exp(log_move_scale)
+            for lo, hi in windows:
+                if end == hi:
+                    chol = np.linalg.cholesky(_window_covariance(warmup_x[lo:hi]))
+                    kick = target.to_y.T @ chol
+                    drift = kick.T.copy()
+                    mu = math.log(10.0) + log_step_bar
+                    accepted[:] = 0.0
+                    count = 0
+                    step = np.exp(log_step_bar)
+            if end == warmup:
+                # pool the tuned kernels so every chain samples alike
+                step = np.full(chains, math.exp(float(log_step_bar.mean())))
+                move_scale = np.full(chains, math.exp(float(log_move_scale.mean())))
 
     # x -> beta in place: sigma from t, the free abilities shifted down one
     # column and scaled, then the zero-sum ability
@@ -492,5 +478,5 @@ def sample_posterior(table: WinTable, config: Optional[BBTConfig] = None) -> Abi
         ess=ess,
         config=config,
         step_size=float(step[0]),
-        accept_rate=tuple(float(a) for a in _acceptance(log_ratios).mean(axis=0)),
+        accept_rate=tuple(float(a) for a in _acceptance(log_ratios[warmup:]).mean(axis=0)),
     )

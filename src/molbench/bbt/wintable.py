@@ -65,6 +65,12 @@ def build_win_table(
     return WinTable(tuple(models), wins + 0.5 * ties)
 
 
+def inverse_logit(delta: np.ndarray) -> np.ndarray:
+    """Win probabilities 1 / (1 + e^-delta) of ability differences ``delta``."""
+    with np.errstate(over="ignore"):  # delta < -709: 1 / (1 + inf) is exactly 0
+        return 1.0 / (1.0 + np.exp(-delta))
+
+
 def simulate_win_table(
     models: tuple[str, ...] | list[str],
     beta: np.ndarray,
@@ -77,7 +83,7 @@ def simulate_win_table(
     if beta.shape != (m,):
         raise ValueError(f"beta must have shape ({m},), got {beta.shape}")
     first, second = np.triu_indices(m, 1)
-    pi = 1.0 / (1.0 + np.exp(-(beta[first] - beta[second])))
+    pi = inverse_logit(beta[first] - beta[second])
     won = rng.binomial(n_comparisons, pi)
     wins = np.zeros((m, m), dtype=np.float64)
     wins[first, second] = won

@@ -391,15 +391,18 @@ def run_evaluation(
             cells.append((config, entry, rep, cache_path, resume))
 
     if jobs > 1 and len(cells) > 1:
-        # after the first failure the cells not yet started are cancelled and
-        # the running ones finish; the pool starts cells in table order, so
-        # the cancelled ones follow every cell that ran, and the first
-        # ``result()`` to raise is that of the first failing cell in table order
+        # after the first failure, or an interrupt while waiting, the cells
+        # not yet started are cancelled and the running ones finish; the pool
+        # starts cells in table order, so the cancelled ones follow every cell
+        # that ran, and the first ``result()`` to raise is that of the first
+        # failing cell in table order
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_evaluate_cell, *cell) for cell in cells]
-            wait(futures, return_when=FIRST_EXCEPTION)
-            for future in futures:
-                future.cancel()
+            try:
+                wait(futures, return_when=FIRST_EXCEPTION)
+            finally:
+                for future in futures:
+                    future.cancel()
         payloads = [future.result() for future in futures]
     else:
         payloads = [_evaluate_cell(*cell) for cell in cells]

@@ -23,6 +23,7 @@ from molbench.bbt import (
     simulate_win_table,
     split_rhat,
 )
+from molbench.bbt import model as bbt_model
 from molbench.bbt.model import _Likelihood, _NonCentred
 from molbench.errors import ConvergenceError, DataError
 from molbench.harness import ScoreRecord, ScoreTable
@@ -75,6 +76,16 @@ class TestWinTable:
             build_win_table(
                 _scores([("A", "d1", 0.5), ("B", "d2", 0.5)]), 0.01
             )
+
+    def test_simulated_far_apart_abilities_without_warning(self):
+        # exp(800) overflows to inf; the win probability is its limit, 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = simulate_win_table(
+                ("a", "b"), np.array([0.0, 800.0]), 10, np.random.default_rng(0)
+            )
+        assert table.wins[1, 0] == 10
+        assert table.wins[0, 1] == 0
 
     def test_totals_constant_per_pair(self):
         rng = np.random.default_rng(0)
@@ -555,6 +566,45 @@ class TestSamplePosterior:
         assert np.array_equal(first.sigma_draws, second.sigma_draws)
         assert (first.r_hat, first.ess) == (second.r_hat, second.ess)
         assert (first.step_size, first.accept_rate) == (second.step_size, second.accept_rate)
+
+    def test_sigma_move_terms_are_computed_once_per_block(self, monkeypatch):
+        table = WinTable(("a", "b", "c"), np.array([[0, 4, 2], [1, 0, 3], [3, 2, 0]], dtype=float))
+        shapes = []
+        terms = bbt_model._sigma_move_terms
+
+        def spy(u, m):
+            shapes.append(np.shape(u))
+            return terms(u, m)
+
+        monkeypatch.setattr(bbt_model, "_sigma_move_terms", spy)
+        sample_posterior(table, BBTConfig(chains=2, draws_per_chain=1500, warmup=1500, seed=2))
+        # a block of iterations per call, warmup's also ending at the three window edges
+        assert all(len(shape) == 2 and shape[1] == 2 for shape in shapes)
+        assert sum(shape[0] for shape in shapes) == 3000
+        blocks = 1500 / bbt_model._WARMUP_BLOCK, 1500 / bbt_model._SAMPLING_BLOCK
+        assert len(shapes) <= math.ceil(blocks[0]) + 3 + math.ceil(blocks[1])
+
+    def test_each_window_covariance_reads_its_slice_of_warmup(self, monkeypatch):
+        table = WinTable(("a", "b", "c"), np.array([[0, 4, 2], [1, 0, 3], [3, 2, 0]], dtype=float))
+        states, windows = [], []
+        at, covariance = _NonCentred.at, bbt_model._window_covariance
+
+        def spy_at(self, rows, refresh=True, with_value=True):
+            if not refresh:  # once per iteration, at the state the one before left
+                states.append(rows.x.copy())
+            return at(self, rows, refresh, with_value)
+
+        def spy_covariance(window):
+            windows.append(window.copy())
+            return covariance(window)
+
+        monkeypatch.setattr(_NonCentred, "at", spy_at)
+        monkeypatch.setattr(bbt_model, "_window_covariance", spy_covariance)
+        sample_posterior(table, BBTConfig(chains=2, draws_per_chain=1500, warmup=1000, seed=2))
+        warmup_x = np.stack(states[1:1001])  # x after each warmup iteration
+        assert len(windows) == 2
+        assert np.array_equal(windows[0], warmup_x[150:400])  # 15%-40% of warmup
+        assert np.array_equal(windows[1], warmup_x[400:900])  # 40%-90%
 
     def test_telemetry_and_chain_major_draws(self):
         table = WinTable(("a", "b", "c"), np.array([[0, 4, 2], [1, 0, 3], [3, 2, 0]], dtype=float))

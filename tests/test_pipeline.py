@@ -421,6 +421,30 @@ class TestEvaluationPipeline:
         with pytest.raises(DataError, match=r"\[emb-a x tiny\]"):
             run_evaluation(parse_config(document), tmp_path / "out", jobs=2)
 
+    def test_interrupt_cancels_pending_cells(self, workspace, tmp_path, monkeypatch):
+        # an interrupt while waiting (Ctrl-C in the parent) cancels the cells
+        # not yet started; the pool queues one call beyond its workers, so at
+        # most jobs + 1 cells run and keep their entries
+        _, _, document = workspace
+        document = dict(
+            document,
+            representations=[
+                {"name": f"ECFP-{length}", "type": "fingerprint", "kind": "ecfp",
+                 "radius": 2, "length": length, "counted": True}
+                for length in (32, 64, 128, 256, 512, 1024)
+            ],
+            baseline="ECFP-32",
+        )
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(pipeline, "wait", interrupted)
+        out = tmp_path / "out"
+        with pytest.raises(KeyboardInterrupt):
+            run_evaluation(parse_config(document), out, jobs=2)
+        assert len(list((out / "cache").glob("*.json"))) <= 3
+
     def test_unreadable_input_fails_before_any_cell_runs(self, workspace, tmp_path):
         _, _, document = workspace
         document = json.loads(json.dumps(document))
