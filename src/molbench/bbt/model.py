@@ -21,14 +21,18 @@ makes two moves:
 The run is cut into blocks of iterations, and the kernel is fixed within a
 block: whatever depends only on the random numbers (step sizes, sigma-move
 proposals and their exponentials) is computed for the whole block at once,
-and warmup and sampling run the same iteration. Warmup adapts between its
-blocks of 16 iterations. Each block takes one dual-averaging step of each
-chain's step size toward 0.8 acceptance (Hoffman & Gelman 2014) and one
-Robbins-Monro step of the sigma move's scale toward 0.44, both from the
-block's mean acceptance. The mass matrix is estimated from the pooled chains
-in two windows spanning 15%-90% of warmup (regularised as Stan does), at the
-end of the block that closes each window. At the end of warmup the step size
-and the move scale are pooled, so every chain runs the same kernel.
+and warmup and sampling run the same iteration. One random stream draws each
+block's normals and uniforms for all chains at once.
+
+All chains share one adaptation state, so they run one kernel throughout.
+Warmup adapts between its blocks of 16 iterations: one dual-averaging step of
+the step size toward 0.8 acceptance (Hoffman & Gelman 2014), from the block's
+mean acceptance over all chains. The mass matrix is estimated from the pooled
+chains in two windows spanning 15%-90% of warmup (regularised as Stan does),
+at the end of the block that closes each window. The sigma move needs no
+tuning: its scale is 2.4 standard deviations of t given beta (Roberts, Gelman
+& Gilks 1997), whose curvature 2|z|^2 + 1/0.5^2 is close to 2(M - 1) + 4
+because |z|^2 stays near its prior mean M - 1.
 """
 
 from __future__ import annotations
@@ -57,7 +61,6 @@ _STEP_JITTER = 0.2  # each transition uses step * U(1 - jitter, 1 + jitter)
 _INITIAL_STEP = 0.1  # where dual averaging starts, before any mass-matrix window
 _DA_GAMMA, _DA_T0, _DA_KAPPA = 0.05, 10.0, 0.75  # dual averaging (Hoffman & Gelman 2014)
 _METRIC_WINDOWS = (0.15, 0.40, 0.90)  # mass-matrix window edges, fractions of warmup
-_SIGMA_MOVE_ACCEPT = 0.44  # optimum for a one-dimensional random walk
 
 
 @dataclass(frozen=True)
@@ -250,12 +253,12 @@ class _NonCentred:
             return None
         return rows.loglik - (np.vecdot(rows.y, rows.y * self.half_precision) + rows.t)
 
-    def __call__(self, q: np.ndarray):
-        """(log density, gradient) at each row of q = (z_1, ..., z_{M-1}, t)."""
-        rows = _Rows(*q.shape)
-        rows.y[:] = np.roll(q, 1, axis=1) @ self.to_y
+    def __call__(self, x: np.ndarray):
+        """(log density, gradient in x) at each row of x = (t, z_1, ..., z_{M-1})."""
+        rows = _Rows(*x.shape)
+        rows.y[:] = x @ self.to_y
         log_density = self.at(rows)
-        return log_density, np.roll(rows.grad @ self.to_y.T, -1, axis=1)
+        return log_density, rows.grad @ self.to_y.T
 
 
 def _acceptance(log_ratio: np.ndarray) -> np.ndarray:
@@ -301,15 +304,11 @@ def sample_posterior(table: WinTable, config: Optional[BBTConfig] = None) -> Abi
     chains = config.chains
     warmup = config.warmup
     total = warmup + config.draws_per_chain
-    rngs = [
-        np.random.default_rng(s)
-        for s in np.random.SeedSequence(config.seed).spawn(chains)
-    ]
+    rng = np.random.default_rng(config.seed)
 
     # the state and the HMC proposal
     state, proposal = _Rows(chains, m), _Rows(chains, m)
-    start = np.stack([rng.normal(0.0, 0.3, size=m) for rng in rngs])  # (z_1..z_{M-1}, t)
-    state.y[:] = np.roll(start, 1, axis=1) @ target.to_y
+    state.y[:] = rng.normal(0.0, 0.3, size=(chains, m)) @ target.to_y
     target.at(state)
 
     # inverse mass matrix = chol @ chol.T on x; with w = chol^-1 x the
@@ -319,22 +318,19 @@ def sample_posterior(table: WinTable, config: Optional[BBTConfig] = None) -> Abi
     drift = kick.T.copy()
     p, push, shift = np.empty((chains, m)), np.empty((chains, m)), np.empty((chains, m + 1))
 
-    # warmup adapts between blocks: dual averaging of the log step size,
-    # restarted after each mass-matrix window, and Robbins-Monro on the sigma
-    # move's log scale
+    # warmup adapts between blocks: dual averaging of the one log step size,
+    # restarted after each mass-matrix window
     count = 0
-    accepted = np.zeros(chains)
-    mu = np.full(chains, math.log(10.0 * _INITIAL_STEP))
-    log_step_bar = np.full(chains, math.log(_INITIAL_STEP))
-    step = np.full(chains, _INITIAL_STEP)
-    log_move_scale = np.zeros(chains)
-    move_scale = np.ones(chains)
+    accepted = 0.0
+    mu = math.log(10.0 * _INITIAL_STEP)
+    log_step_bar = math.log(_INITIAL_STEP)
+    step = _INITIAL_STEP
+    move_scale = 2.4 / math.sqrt(2.0 * (m - 1) + _T_PRECISION)  # fixed: see the module docstring
     edges = [int(round(f * warmup)) for f in _METRIC_WINDOWS]
     windows = [(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]
     warmup_x = np.empty((warmup, chains, m))
     draws = np.empty((chains, config.draws_per_chain, m))  # post-warmup x, chain-major
     log_ratios = np.empty((total, chains))  # HMC
-    move_log_ratios = np.empty((total, chains))  # sigma move
 
     # blocks end at every window edge and at the end of warmup
     bounds = sorted(
@@ -342,12 +338,12 @@ def sample_posterior(table: WinTable, config: Optional[BBTConfig] = None) -> Abi
     )
     # a non-finite energy or sigma-move ratio is a rejection, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for block, (first, end) in enumerate(zip(bounds, bounds[1:])):
+        for first, end in zip(bounds, bounds[1:]):
             span = end - first
             # per iteration and chain: momentum, sigma-move proposal, step
             # jitter and the two acceptance uniforms
-            normals = np.stack([rng.standard_normal((span, m + 1)) for rng in rngs], axis=1)
-            uniforms = np.stack([rng.random((span, 3)) for rng in rngs], axis=1)
+            normals = rng.standard_normal((span, chains, m + 1))
+            uniforms = rng.random((span, chains, 3))
             log_u = np.log(uniforms[:, :, 1:])
             momenta = normals[:, :, :m]
             kinetic = 0.5 * np.vecdot(momenta, momenta)
@@ -355,7 +351,7 @@ def sample_posterior(table: WinTable, config: Optional[BBTConfig] = None) -> Abi
             # alone decide is computed for the whole block at once
             jitter = 1.0 + _STEP_JITTER * (2.0 * uniforms[:, :, :1] - 1.0)
             eps_block = np.empty((span, chains, m))
-            np.multiply(step[:, None], jitter, out=eps_block)
+            np.multiply(step, jitter, out=eps_block)
             half_block = 0.5 * eps_block
             u_block = move_scale * normals[:, :, m]
             a_block, c_block, d_block, shrink_block = _sigma_move_terms(u_block, m)
@@ -400,39 +396,31 @@ def sample_posterior(table: WinTable, config: Optional[BBTConfig] = None) -> Abi
                 # every later sigma move would scale up with z
                 np.negative(state.z_free.sum(axis=1), out=state.z_last)
 
-                k = first + b
                 record[b] = state.x
-                log_ratios[k] = log_ratio
-                move_log_ratios[k] = log_alpha
+                log_ratios[first + b] = log_ratio
 
             if end > warmup:
                 continue
             count += 1
-            accepted += _acceptance(log_ratios[first:end]).mean(axis=0)
+            accepted += _acceptance(log_ratios[first:end]).mean()
             rate = math.sqrt(count) / (_DA_GAMMA * (count + _DA_T0))
             log_step = mu + (accepted - _TARGET_ACCEPT * count) * rate
-            step = np.exp(log_step)
-            # dual averaging's iterate average (Hoffman & Gelman 2014)
+            step = math.exp(log_step)
+            # dual averaging's iterate average (Hoffman & Gelman 2014), which
+            # a window's end and sampling take up
             weight = count**-_DA_KAPPA
             log_step_bar = weight * log_step + (1.0 - weight) * log_step_bar
-            gain = (1.0 + 0.1 * block) ** -0.6
-            log_move_scale += gain * (
-                _acceptance(move_log_ratios[first:end]).mean(axis=0) - _SIGMA_MOVE_ACCEPT
-            )
-            move_scale = np.exp(log_move_scale)
+            if end == warmup:
+                step = math.exp(log_step_bar)
             for lo, hi in windows:
                 if end == hi:
                     chol = np.linalg.cholesky(_window_covariance(warmup_x[lo:hi]))
                     kick = target.to_y.T @ chol
                     drift = kick.T.copy()
                     mu = math.log(10.0) + log_step_bar
-                    accepted[:] = 0.0
+                    accepted = 0.0
                     count = 0
-                    step = np.exp(log_step_bar)
-            if end == warmup:
-                # pool the tuned kernels so every chain samples alike
-                step = np.full(chains, math.exp(float(log_step_bar.mean())))
-                move_scale = np.full(chains, math.exp(float(log_move_scale.mean())))
+                    step = math.exp(log_step_bar)
 
     # x -> beta in place: sigma from t, the free abilities shifted down one
     # column and scaled, then the zero-sum ability
@@ -477,6 +465,6 @@ def sample_posterior(table: WinTable, config: Optional[BBTConfig] = None) -> Abi
         r_hat=r_hat,
         ess=ess,
         config=config,
-        step_size=float(step[0]),
+        step_size=step,
         accept_rate=tuple(float(a) for a in _acceptance(log_ratios[warmup:]).mean(axis=0)),
     )

@@ -145,19 +145,20 @@ def _add_atom(state: _State, atom: Atom, offset: int) -> None:
     state.atoms.append(atom)
     state.offsets.append(offset)
     if state.prev is not None:
-        order = state.pending_order
-        if order is None:
-            both_aromatic = state.atoms[state.prev].aromatic and atom.aromatic
-            order = BondOrder.AROMATIC if both_aromatic else BondOrder.SINGLE
-        _add_bond(state, state.prev, idx, order, offset)
+        _add_bond(state, state.prev, idx, state.pending_order, offset)
     state.prev = idx
     state.pending_order = None
     state.fragment_has_atom = True
 
 
 def _add_bond(
-    state: _State, a1: int, a2: int, order: BondOrder, offset: int
+    state: _State, a1: int, a2: int, order: Optional[BondOrder], offset: int
 ) -> None:
+    """Bond a1 to a2; a bond written without a symbol (``order`` None) is
+    aromatic if both ends are aromatic, else single."""
+    if order is None:
+        both_aromatic = state.atoms[a1].aromatic and state.atoms[a2].aromatic
+        order = BondOrder.AROMATIC if both_aromatic else BondOrder.SINGLE
     if a1 == a2:
         raise SmilesParseError("ring bond to the same atom", offset)
     pair = (min(a1, a2), max(a1, a2))
@@ -188,13 +189,7 @@ def _ring_closure(state: _State) -> None:
             raise SmilesParseError(
                 f"conflicting bond orders on ring closure {number}", pos
             )
-        order = explicit or opener_order
-        if order is None:
-            both_aromatic = (
-                state.atoms[other].aromatic and state.atoms[state.prev].aromatic
-            )
-            order = BondOrder.AROMATIC if both_aromatic else BondOrder.SINGLE
-        _add_bond(state, other, state.prev, order, pos)
+        _add_bond(state, other, state.prev, explicit or opener_order, pos)
     else:
         state.ring_open[number] = (state.prev, explicit, pos)
 

@@ -15,6 +15,7 @@ import logging
 import math
 import os
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import MISSING, astuple, dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Union
@@ -69,19 +70,16 @@ class DatasetEntry:
 
 @dataclass(frozen=True)
 class RepresentationEntry:
+    """A fingerprint computed from the SMILES, or, without one, an embedding
+    read from a file per dataset."""
+
     name: str
-    kind: str  # "fingerprint" or "embedding"
     fingerprint: Optional[FingerprintConfig] = None
     embedding_paths: dict[str, str] = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.kind not in ("fingerprint", "embedding"):
-            raise ValueError(f"kind must be 'fingerprint' or 'embedding', got {self.kind!r}")
-        if isinstance(self.fingerprint, FingerprintConfig) != (self.kind == "fingerprint"):
-            raise ValueError(
-                f"representation {self.name!r}: a FingerprintConfig goes with kind "
-                f"'fingerprint' and only with it, got {self.fingerprint!r}"
-            )
+    @property
+    def kind(self) -> str:
+        return "embedding" if self.fingerprint is None else "fingerprint"
 
 
 @dataclass(frozen=True)
@@ -236,12 +234,12 @@ def parse_config(document: dict) -> BenchmarkConfig:
         rep_type = _get(raw, "type", context, _STR)
         if rep_type == "fingerprint":
             fingerprint = _read(FingerprintConfig, raw, context, known=("name", "type"))
-            rep = RepresentationEntry(_get(raw, "name", context, _STR), rep_type, fingerprint)
+            rep = RepresentationEntry(_get(raw, "name", context, _STR), fingerprint)
         elif rep_type == "embedding":
             raw_paths = _get(raw, "paths", context, _OBJECT)
             paths = {key: _get(raw_paths, key, f"{context}.paths", _STR) for key in raw_paths}
             rep = _read(RepresentationEntry, raw, context, known=("type", "paths"),
-                        kind=rep_type, fingerprint=None, embedding_paths=paths)
+                        fingerprint=None, embedding_paths=paths)
         else:
             raise ConfigError(f"{context}: unknown representation type {rep_type!r}")
         representations.append(rep)
@@ -403,7 +401,20 @@ def run_evaluation(
             finally:
                 for future in futures:
                     future.cancel()
-        payloads = [future.result() for future in futures]
+        try:
+            payloads = [future.result() for future in futures]
+        except BrokenProcessPool:
+            # a worker died (a kill or the memory limit) and the pool failed
+            # every cell it had not finished; the finished ones are cached
+            lost = [
+                f"{rep.name} x {entry.name}"
+                for (_, entry, rep, _, _), future in zip(cells, futures)
+                if future.cancelled() or future.exception() is not None
+            ]
+            raise DataError(
+                f"a worker process died; {len(lost)} cell(s) did not finish: "
+                f"{', '.join(lost)}. Finished cells are cached: rerun with --resume"
+            ) from None
     else:
         payloads = [_evaluate_cell(*cell) for cell in cells]
 

@@ -191,33 +191,33 @@ class TestPairListLikelihood:
 
 
 class TestNonCentredDensity:
-    """The sampler's log density in q = (z_1..z_{M-1}, log sigma) and its gradient."""
+    """The sampler's log density in x = (log sigma, z_1..z_{M-1}) and its gradient."""
 
     @pytest.mark.parametrize("m", [2, 5, 25])
     def test_gradient_matches_central_differences(self, m):
         rng = np.random.default_rng(m)
         target = _NonCentred(_random_table(m, rng))
-        q = rng.normal(0.0, 0.7, size=(4, m))
-        _, grad = target(q)
+        x = rng.normal(0.0, 0.7, size=(4, m))
+        _, grad = target(x)
         h = 1e-6
-        fd = np.empty_like(q)
+        fd = np.empty_like(x)
         for k in range(m):
             step = np.zeros(m)
             step[k] = h
-            fd[:, k] = (target(q + step)[0] - target(q - step)[0]) / (2 * h)
-        for row in range(len(q)):
+            fd[:, k] = (target(x + step)[0] - target(x - step)[0]) / (2 * h)
+        for row in range(len(x)):
             assert np.linalg.norm(grad[row] - fd[row]) <= 1e-6 * np.linalg.norm(fd[row])
 
     @pytest.mark.parametrize("m", [2, 5, 25])
     def test_is_log_posterior_plus_jacobians(self, m):
         rng = np.random.default_rng(100 + m)
         table = _random_table(m, rng)
-        q = rng.normal(0.0, 0.7, size=(6, m))
-        log_density, _ = _NonCentred(table)(q)
+        x = rng.normal(0.0, 0.7, size=(6, m))
+        log_density, _ = _NonCentred(table)(x)
         offsets = []
-        for row, value in zip(q, log_density):
-            t = row[-1]
-            beta = math.exp(t) * np.append(row[:-1], -row[:-1].sum())
+        for row, value in zip(x, log_density):
+            t = row[0]
+            beta = math.exp(t) * np.append(row[1:], -row[1:].sum())
             # Jacobians: sigma -> t contributes t, z -> beta (M - 1) t
             reference = log_posterior(beta, math.exp(t), table) + t + (m - 1) * t
             offsets.append(value - reference)
@@ -560,7 +560,7 @@ class TestSamplePosterior:
             assert np.geterr() == before
 
     def test_same_config_gives_bit_identical_draws(self):
-        config = BBTConfig(chains=3, draws_per_chain=1000, warmup=1000, seed=4)
+        config = BBTConfig(chains=3, draws_per_chain=2000, warmup=2000, seed=4)
         first, second = (sample_posterior(_ladder_table(), config) for _ in range(2))
         assert np.array_equal(first.beta_draws, second.beta_draws)
         assert np.array_equal(first.sigma_draws, second.sigma_draws)
@@ -583,6 +583,29 @@ class TestSamplePosterior:
         assert sum(shape[0] for shape in shapes) == 3000
         blocks = 1500 / bbt_model._WARMUP_BLOCK, 1500 / bbt_model._SAMPLING_BLOCK
         assert len(shapes) <= math.ceil(blocks[0]) + 3 + math.ceil(blocks[1])
+
+    @pytest.mark.parametrize("case", ["3 models", "25 models"])
+    def test_sigma_move_scale_follows_the_model_size(self, case, monkeypatch):
+        # 2.4 sd of t given beta, whose curvature is 2|z|^2 + 1/0.5^2 with
+        # |z|^2 near its prior mean M - 1
+        if case == "3 models":
+            table = WinTable(("a", "b", "c"), np.array([[0, 4, 2], [1, 0, 3], [3, 2, 0]], dtype=float))
+            config = BBTConfig(chains=2, draws_per_chain=1500, warmup=1500, seed=2)
+        else:
+            table = _ladder_table()
+            config = BBTConfig(chains=4, draws_per_chain=2000, warmup=1000, seed=1)
+        proposals = []
+        terms = bbt_model._sigma_move_terms
+
+        def spy(u, m):
+            proposals.append(u.copy())
+            return terms(u, m)
+
+        monkeypatch.setattr(bbt_model, "_sigma_move_terms", spy)
+        sample_posterior(table, config)
+        spread = np.concatenate(proposals, axis=None).std()
+        m = table.n_models
+        assert spread == pytest.approx(2.4 / math.sqrt(2 * (m - 1) + 4), rel=0.05)
 
     def test_each_window_covariance_reads_its_slice_of_warmup(self, monkeypatch):
         table = WinTable(("a", "b", "c"), np.array([[0, 4, 2], [1, 0, 3], [3, 2, 0]], dtype=float))

@@ -1,6 +1,8 @@
 """Subcommand behavior and exit codes."""
 
 import json
+import os
+import time
 
 import numpy as np
 import pytest
@@ -165,6 +167,19 @@ class TestSplitCommand:
         assert sorted(payload["train"] + payload["test"]) == [1, 2]
         with pytest.raises(UnknownElementError):
             parse_smiles("CCO\x0cCCN")
+
+
+_unpatched_cell = pipeline._evaluate_cell
+
+
+def _worker_lost_after_first_cell(config, entry, rep, cache_path, resume):
+    """The "lost" cell's worker dies once another cell's entry is cached."""
+    if rep.name != "lost":
+        return _unpatched_cell(config, entry, rep, cache_path, resume)
+    deadline = time.monotonic() + 60.0
+    while not any(cache_path.parent.glob("ECFP-count__*.json")) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    os._exit(1)
 
 
 def _evaluate_config(dataset_csv, representations):
@@ -448,6 +463,27 @@ class TestEvaluateCommand:
             assert main([*argv, "--seed", "7", "--jobs", jobs]) == EXIT_OK
             written.append((out_dir / "scores.csv").read_bytes())
         assert written[0] == written[1]
+
+    def test_lost_worker_is_data_error_and_resume_keeps_finished_cells(
+        self, dataset_csv, tmp_path, capsys, monkeypatch
+    ):
+        config = _evaluate_config(dataset_csv, [("ECFP-count", "ecfp"), ("lost", "atom_pair")])
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        out_dir = tmp_path / "run"
+        argv = ["evaluate", "--config", str(config_path), "--output-dir", str(out_dir)]
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "_evaluate_cell", _worker_lost_after_first_cell)
+            assert main([*argv, "--jobs", "2"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "1 cell(s) did not finish: lost x mini" in err and "Traceback" not in err
+        (kept,) = (out_dir / "cache").glob("*.json")
+        mtime = kept.stat().st_mtime_ns
+        assert main([*argv, "--jobs", "2", "--resume"]) == EXIT_OK
+        assert kept.stat().st_mtime_ns == mtime
+        serial = tmp_path / "serial"
+        assert main(["evaluate", "--config", str(config_path), "--output-dir", str(serial)]) == EXIT_OK
+        assert (out_dir / "scores.csv").read_bytes() == (serial / "scores.csv").read_bytes()
 
     def test_log_level_warning_hides_info(self, tmp_path, caplog):
         # an all-zero second task is excluded, which evaluate logs at INFO

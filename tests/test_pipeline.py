@@ -212,19 +212,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=r"bbt\.rope: .*expected 2 items, got 3"):
             parse_config(document)
 
-    @pytest.mark.parametrize(
-        "kind, fingerprint, message",
-        [
-            ("embeding", None, "kind must be"),
-            ("fingerprint", None, "FingerprintConfig"),
-            ("embedding", FingerprintConfig("ecfp"), "FingerprintConfig"),
-        ],
-        ids=["misspelled-kind", "fingerprint-without-config", "embedding-with-config"],
-    )
-    def test_representation_entry_checks_its_kind(self, kind, fingerprint, message):
-        with pytest.raises(ValueError, match=message):
-            RepresentationEntry("x", kind, fingerprint)
-
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -236,7 +223,7 @@ class TestCellCacheKey:
     @staticmethod
     def _key(fingerprint):
         entry = DatasetEntry("toy", str(toy_dataset_path()), "smiles", ("activity",))
-        rep = RepresentationEntry("rep", "fingerprint", fingerprint)
+        rep = RepresentationEntry("rep", fingerprint)
         return pipeline._cell_cache_key(BenchmarkConfig((entry,), (rep,)), entry, rep)
 
     @pytest.mark.parametrize(
